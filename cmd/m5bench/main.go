@@ -13,7 +13,7 @@
 //	        [-seed N] [-out csvdir] [-parallel N] [-json report.json]
 //	        [-baseline prior.json] [-check]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	        [-tape] [-tapebytes N] [-fastforward] [-batch N]
+//	        [-tape] [-tapebytes N]
 //	        [-sample] [-samplewindow N] [-samplestride N] [-ci F]
 //
 // The harness vocabulary comes from the experiments registry (-h lists
@@ -25,17 +25,11 @@
 // reported number is byte-identical either way, only the wall clock
 // moves. -tapebytes bounds the pool's memory.
 //
-// -fastforward executes whole tape segments through the simulator's
-// vectorized epoch fast-forward engine between migration decisions;
-// -batch overrides the simulator's step-batch size. Both are pure
-// wall-clock knobs: every reported number is byte-identical to a run
-// without them.
-//
 // -sample switches every cell to the SMARTS-style sampled fidelity tier:
 // functional warming between detailed measurement windows, elapsed times
 // reported as estimates with Student-t confidence intervals (the sample.*
 // obs counters carry windows measured, per-tier access splits, and the
-// interval width). UNLIKE the flags above this is statistical, not
+// interval width). UNLIKE -tape and -parallel this is statistical, not
 // byte-identical — the sample-coverage harness checks the contract.
 // -samplewindow / -samplestride override the window geometry; -ci sets a
 // relative error budget that stops measuring once the interval is tight
@@ -83,8 +77,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 		useTape  = flag.Bool("tape", true, "serve workload streams from a shared record-once/replay-many tape pool (results are byte-identical either way)")
 		tapeCap  = flag.Int64("tapebytes", 256<<20, "tape pool byte budget (0 = unbounded); least-recently-used tapes are evicted to stay within it")
-		fastFwd  = flag.Bool("fastforward", false, "execute whole tape segments through the simulator's vectorized fast-forward engine (results are byte-identical either way)")
-		batch    = flag.Int("batch", 0, "simulator step-batch size (0 = default; never changes results)")
 		sample   = flag.Bool("sample", false, "run every cell at the SMARTS-style sampled fidelity tier (statistical — results carry Student-t confidence intervals, NOT byte-identical to exact mode)")
 		sampWin  = flag.Int("samplewindow", 0, "sampled tier: detailed window length in accesses (0 = simulator default)")
 		sampStr  = flag.Int("samplestride", 0, "sampled tier: functional stride between windows in accesses (0 = simulator default)")
@@ -160,8 +152,6 @@ func main() {
 		Points:       *points,
 		Seed:         *seed,
 		Parallel:     *par,
-		FastForward:  *fastFwd,
-		BatchSize:    *batch,
 		Sample:       *sample,
 		SampleWindow: *sampWin,
 		SampleStride: *sampStr,

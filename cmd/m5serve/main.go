@@ -60,6 +60,12 @@ import (
 	"m5/internal/workload/tape"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and stalls cannot
+// pin server goroutines. Request bodies are small JSON documents, and
+// query run time is bounded separately by the per-query deadline.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8909", "listen address")
@@ -107,7 +113,7 @@ func main() {
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDead,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

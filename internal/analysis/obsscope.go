@@ -13,7 +13,7 @@ const obsPkgPath = "m5/internal/obs"
 // metricNameRE is the documented scope.metric grammar: dot-separated
 // lowercase segments, each [a-z][a-z0-9_]*. Registration through a
 // scoped registry passes one or more segments; Scope takes the same
-// shape ("dram.ddr" is a legal scope).
+// shape ("chan.ddr" is a legal scope).
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 
 // obsNameMethods are the *obs.Registry methods whose first argument is

@@ -9,46 +9,39 @@ import (
 
 // Access runs once per simulated memory reference — the single hottest
 // function in the simulator — so it must not allocate even on the LLC
-// miss path, where Result.Writeback/Prefetched now alias per-Hierarchy
-// scratch buffers instead of fresh slices.
+// miss path, where Result.Writeback aliases a per-Hierarchy scratch
+// buffer instead of a fresh slice.
 
 func TestAccessZeroAllocs(t *testing.T) {
-	for _, prefetch := range []bool{false, true} {
-		name := "demand"
-		if prefetch {
-			name = "prefetch"
-		}
-		t.Run(name, func(t *testing.T) {
-			h := NewHierarchy(HierarchyConfig{
-				L1:               Config{SizeBytes: 1 << 10, Ways: 2},
-				L2:               Config{SizeBytes: 4 << 10, Ways: 4},
-				LLCWayBytes:      4 << 10,
-				LLCWays:          4,
-				NextLinePrefetch: prefetch,
-			})
-			rng := rand.New(rand.NewSource(1))
-			addrs := make([]mem.PhysAddr, 4096)
-			for i := range addrs {
-				// Far larger than the LLC: most accesses miss and evict.
-				addrs[i] = mem.PhysAddr(rng.Intn(1<<22)) &^ (mem.WordSize - 1)
-			}
-			for i, a := range addrs {
-				h.Access(a, i%4 == 0)
-			}
-			i := 0
-			allocs := testing.AllocsPerRun(10_000, func() {
-				h.Access(addrs[i%len(addrs)], i%4 == 0)
-				i++
-			})
-			if allocs != 0 {
-				t.Errorf("Hierarchy.Access (%s) allocates %.1f allocs/op", name, allocs)
-			}
+	t.Run("demand", func(t *testing.T) {
+		h := NewHierarchy(HierarchyConfig{
+			L1:          Config{SizeBytes: 1 << 10, Ways: 2},
+			L2:          Config{SizeBytes: 4 << 10, Ways: 4},
+			LLCWayBytes: 4 << 10,
+			LLCWays:     4,
 		})
-	}
+		rng := rand.New(rand.NewSource(1))
+		addrs := make([]mem.PhysAddr, 4096)
+		for i := range addrs {
+			// Far larger than the LLC: most accesses miss and evict.
+			addrs[i] = mem.PhysAddr(rng.Intn(1<<22)) &^ (mem.WordSize - 1)
+		}
+		for i, a := range addrs {
+			h.Access(a, i%4 == 0)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(10_000, func() {
+			h.Access(addrs[i%len(addrs)], i%4 == 0)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("Hierarchy.Access allocates %.1f allocs/op", allocs)
+		}
+	})
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
-	h := NewHierarchy(HierarchyConfig{NextLinePrefetch: true})
+	h := NewHierarchy(HierarchyConfig{})
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]mem.PhysAddr, 1<<16)
 	for i := range addrs {

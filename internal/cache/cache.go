@@ -82,12 +82,14 @@ func NewLevel(cfg Config) *Level {
 }
 
 // lineAddr is the cache-line (64B word) address of a byte address.
+//
 //m5:hotpath
 func lineAddr(a mem.PhysAddr) uint64 { return uint64(a) >> mem.WordShift }
 
 // set indexes the set of a line address; the power-of-two mask (the common
 // case for every default and scaled configuration) is identical to the
 // modulo and avoids the divide on the probe hot path.
+//
 //m5:hotpath
 func (l *Level) set(line uint64) int {
 	if l.setPow2 {
@@ -98,6 +100,7 @@ func (l *Level) set(line uint64) int {
 
 // Lookup probes the level without filling. It returns whether the line is
 // present; a hit refreshes LRU state and merges the dirty bit.
+//
 //m5:hotpath
 func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 	line := lineAddr(a)
@@ -125,6 +128,7 @@ func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 // Fill inserts the line, evicting the LRU way if needed. It returns the
 // evicted line's first byte address and whether the victim was dirty;
 // ok=false when no valid line was evicted.
+//
 //m5:hotpath
 func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok bool) {
 	line := lineAddr(a)
@@ -166,6 +170,7 @@ func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok
 // the given line — i.e. whether a repeatHit on the next access to that
 // line is exactly equivalent to a full Lookup hit. Back-invalidation can
 // steal the slot (it rewrites the tag), which this check catches.
+//
 //m5:hotpath
 func (l *Level) lastHolds(line uint64) bool {
 	return l.tags[l.last] == line
@@ -174,6 +179,7 @@ func (l *Level) lastHolds(line uint64) bool {
 // repeatHit replays a Lookup hit on the slot recorded in last without
 // re-probing the set: same tick bump, same packed-LRU stamp merge, same
 // hit count. Callers must have verified lastHolds for the line first.
+//
 //m5:hotpath
 func (l *Level) repeatHit(write bool) {
 	i := l.last
@@ -188,6 +194,7 @@ func (l *Level) repeatHit(write bool) {
 
 // Invalidate removes the line if present, returning whether it was present
 // and dirty. Used to keep inner levels coherent with LLC evictions.
+//
 //m5:hotpath
 func (l *Level) Invalidate(a mem.PhysAddr) (present, dirty bool) {
 	line := lineAddr(a)
@@ -278,10 +285,6 @@ type Result struct {
 	// The slice aliases a per-Hierarchy scratch buffer and is only valid
 	// until the next Access call.
 	Writeback []mem.PhysAddr
-	// Prefetched holds the line addresses the next-line prefetcher
-	// fetched from DRAM on this access (absent lines only). Like
-	// Writeback, it is only valid until the next Access call.
-	Prefetched []mem.PhysAddr
 }
 
 // HierarchyConfig sizes the full three-level hierarchy. Zero values pick
@@ -296,15 +299,10 @@ type HierarchyConfig struct {
 	LLCWayBytes int
 	// LLCWays is the number of ways allocated (CAT).
 	LLCWays int
-	// NextLinePrefetch enables a simple hardware prefetcher: each LLC
-	// demand miss also fills the next line. Prefetches are DRAM traffic
-	// the CXL controller's trackers see (they cannot tell demand from
-	// prefetch), an effect real deployments must account for.
-	NextLinePrefetch bool
 	// Metrics, when non-nil, receives the hierarchy's counters (l1_hits,
-	// l2_hits, llc_hits, dram_reads, writebacks, prefetches). Handles are
-	// interned at NewHierarchy; the Access hot path stays allocation-free
-	// and pays only a nil check when disabled.
+	// l2_hits, llc_hits, dram_reads, writebacks, and the always-zero
+	// prefetches). Handles are interned at NewHierarchy; the Access hot
+	// path stays allocation-free and pays only a nil check when disabled.
 	Metrics *obs.Registry
 }
 
@@ -327,18 +325,15 @@ func (c HierarchyConfig) withDefaults() HierarchyConfig {
 // Hierarchy is the three-level inclusive cache model.
 type Hierarchy struct {
 	l1, l2, llc *Level
-	prefetch    bool
 	accesses    uint64
 	dramReads   uint64
 	dramWrites  uint64
-	prefetches  uint64
-	// wbScratch and pfScratch back Result.Writeback/Prefetched so the
-	// per-access hot path performs zero heap allocations; each Access
-	// call invalidates the slices returned by the previous one.
+	// wbScratch backs Result.Writeback so the per-access hot path
+	// performs zero heap allocations; each Access call invalidates the
+	// slice returned by the previous one.
 	wbScratch []mem.PhysAddr
-	pfScratch []mem.PhysAddr
 	// res backs the pointer Access returns — same lifetime contract as
-	// the scratch slices: valid until the next Access call.
+	// the scratch slice: valid until the next Access call.
 	res Result
 
 	obsL1Hits     *obs.Counter
@@ -346,7 +341,6 @@ type Hierarchy struct {
 	obsLLCHits    *obs.Counter
 	obsDramReads  *obs.Counter
 	obsWritebacks *obs.Counter
-	obsPrefetches *obs.Counter
 }
 
 // NewHierarchy builds the hierarchy, applying platform defaults for zero
@@ -360,23 +354,26 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 			SizeBytes: cfg.LLCWayBytes * cfg.LLCWays,
 			Ways:      cfg.LLCWays,
 		}),
-		prefetch:  cfg.NextLinePrefetch,
 		wbScratch: make([]mem.PhysAddr, 0, 4),
-		pfScratch: make([]mem.PhysAddr, 0, 2),
 	}
 	h.obsL1Hits = cfg.Metrics.Counter("l1_hits")
 	h.obsL2Hits = cfg.Metrics.Counter("l2_hits")
 	h.obsLLCHits = cfg.Metrics.Counter("llc_hits")
 	h.obsDramReads = cfg.Metrics.Counter("dram_reads")
 	h.obsWritebacks = cfg.Metrics.Counter("writebacks")
-	h.obsPrefetches = cfg.Metrics.Counter("prefetches")
+	// The hierarchy has no prefetcher, so cache.prefetches is never
+	// incremented. It stays registered at zero because published reports
+	// (BENCH_PR6/PR8.json and the fig9 reference digests) carry it, and
+	// dropping it would change every obs snapshot's bytes.
+	cfg.Metrics.Counter("prefetches")
 	return h
 }
 
 // Access runs one load/store through the hierarchy and reports where it was
 // served plus any DRAM writebacks generated. The returned Result is owned
-// by the Hierarchy — like its Writeback/Prefetched slices, it is only
-// valid until the next Access call; copy it to retain it.
+// by the Hierarchy — like its Writeback slice, it is only valid until
+// the next Access call; copy it to retain it.
+//
 //m5:hotpath
 func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 	h.accesses++
@@ -415,55 +412,26 @@ func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 	}
 	wb = h.fillL2(a, write, wb)
 	h.fillL1(a, write, nil)
+	h.wbScratch = wb[:0]
 	h.res = Result{Level: HitMemory, Fill: true, Writeback: wb}
-	res := &h.res
-
-	// Next-line prefetch: fill line+1 into the LLC if absent. A dirty
-	// prefetch victim writes back like any other eviction.
-	if h.prefetch {
-		next := (a &^ (mem.WordSize - 1)) + mem.WordSize
-		if !h.llc.Lookup(next, false) {
-			h.dramReads++
-			h.prefetches++
-			h.obsDramReads.Inc()
-			h.obsPrefetches.Inc()
-			if victim, dirty, ok := h.llc.Fill(next, false); ok {
-				_, d1 := h.l1.Invalidate(victim)
-				_, d2 := h.l2.Invalidate(victim)
-				if dirty || d1 || d2 {
-					h.dramWrites++
-					h.obsWritebacks.Inc()
-					res.Writeback = append(res.Writeback, victim)
-				}
-			}
-			res.Prefetched = append(h.pfScratch[:0], next)
-			h.pfScratch = res.Prefetched[:0]
-		}
-	}
-	h.wbScratch = res.Writeback[:0]
-	return res
+	return &h.res
 }
 
-// AccessClass packs one batched access's outcome into a byte:
-// bits 0-1 hold HitLevel-1, bits 2-3 the writeback count (at most 3 per
-// access: LLC demand victim, L2 victim flush, prefetch victim), and bit 4
-// whether a next-line prefetch was issued. The fast-forward engine
-// consumes these instead of per-access Result structs.
+// AccessClass packs one batched access's outcome into a byte: bits 0-1
+// hold HitLevel-1 and bits 2-3 the writeback count (at most 2 per access:
+// LLC demand victim and L2 victim flush). The sampled tier's functional
+// kernel consumes these instead of per-access Result structs.
 type AccessClass uint8
 
-const classPrefetched AccessClass = 1 << 4
-
 // Level returns where the access was served.
+//
 //m5:hotpath
 func (c AccessClass) Level() HitLevel { return HitLevel(c&3) + 1 }
 
 // Writebacks returns how many DRAM writebacks the access generated.
+//
 //m5:hotpath
 func (c AccessClass) Writebacks() int { return int(c>>2) & 3 }
-
-// Prefetched reports whether a next-line prefetch was issued.
-//m5:hotpath
-func (c AccessClass) Prefetched() bool { return c&classPrefetched != 0 }
 
 // AccessBatch classifies a batch of physical accesses in one pass,
 // mutating hierarchy state exactly as len(phys) sequential Access calls
@@ -471,15 +439,14 @@ func (c AccessClass) Prefetched() bool { return c&classPrefetched != 0 }
 // have len(phys) entries and receives one AccessClass per access; dirty
 // writeback line addresses are appended to wb in access order (each
 // access's Writebacks() count delimits its span) and the grown slice is
-// returned. Prefetched lines are not materialized — reconstruct them as
-// (addr &^ 63) + 64 when Prefetched() is set.
+// returned.
 //
 // Consecutive accesses to the same cache line short-circuit to an L1
 // repeat hit: the previous access left the line L1-resident and MRU, so a
 // full probe can only hit the same slot. The collapse is guarded by a tag
-// check (lastHolds) so pathological configurations where an access
-// back-invalidates its own line (single-set LLC prefetch victim) fall
-// back to the exact path.
+// check (lastHolds), so any configuration where an access does not
+// leave its line L1-resident falls back to the exact path.
+//
 //m5:hotpath
 func (h *Hierarchy) AccessBatch(phys []mem.PhysAddr, writes []uint64, class []AccessClass, wb []mem.PhysAddr) []mem.PhysAddr {
 	prevLine := invalidTag
@@ -494,11 +461,7 @@ func (h *Hierarchy) AccessBatch(phys []mem.PhysAddr, writes []uint64, class []Ac
 			continue
 		}
 		res := h.Access(a, write)
-		c := AccessClass(res.Level-1) | AccessClass(len(res.Writeback))<<2
-		if len(res.Prefetched) != 0 {
-			c |= classPrefetched
-		}
-		class[i] = c
+		class[i] = AccessClass(res.Level-1) | AccessClass(len(res.Writeback))<<2
 		wb = append(wb, res.Writeback...)
 		if h.l1.lastHolds(line) {
 			prevLine = line
@@ -510,6 +473,7 @@ func (h *Hierarchy) AccessBatch(phys []mem.PhysAddr, writes []uint64, class []Ac
 }
 
 // fillL2 fills L2; a dirty victim is flushed to the LLC (not DRAM).
+//
 //m5:hotpath
 func (h *Hierarchy) fillL2(a mem.PhysAddr, write bool, wb []mem.PhysAddr) []mem.PhysAddr {
 	if victim, dirty, ok := h.l2.Fill(a, write); ok && dirty {
@@ -543,7 +507,6 @@ type Snapshot struct {
 	accesses    uint64
 	dramReads   uint64
 	dramWrites  uint64
-	prefetches  uint64
 }
 
 // Snapshot deep-copies the hierarchy state.
@@ -555,7 +518,6 @@ func (h *Hierarchy) Snapshot() Snapshot {
 		accesses:   h.accesses,
 		dramReads:  h.dramReads,
 		dramWrites: h.dramWrites,
-		prefetches: h.prefetches,
 	}
 }
 
@@ -568,7 +530,6 @@ func (h *Hierarchy) Restore(s Snapshot) {
 	h.accesses = s.accesses
 	h.dramReads = s.dramReads
 	h.dramWrites = s.dramWrites
-	h.prefetches = s.prefetches
 }
 
 // Accesses returns the total number of accesses issued.
@@ -579,9 +540,6 @@ func (h *Hierarchy) DRAMReads() uint64 { return h.dramReads }
 
 // DRAMWrites returns the number of writebacks that reached DRAM.
 func (h *Hierarchy) DRAMWrites() uint64 { return h.dramWrites }
-
-// Prefetches returns next-line prefetch fills issued.
-func (h *Hierarchy) Prefetches() uint64 { return h.prefetches }
 
 // MPKI returns LLC misses per kilo-access (the paper selects SPEC
 // workloads by LLC MPKI, §6).

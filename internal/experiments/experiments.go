@@ -52,15 +52,6 @@ type Params struct {
 	// byte-identical to live generation, so every harness result is
 	// unchanged; only the wall clock moves.
 	Tapes *tape.Pool
-	// FastForward enables the simulator's epoch fast-forward engine in
-	// every cell (sim.Config.FastForward): whole tape segments execute
-	// through vectorized kernels between event horizons. Results are
-	// byte-identical to exact mode; only the wall clock moves.
-	FastForward bool
-	// BatchSize overrides the simulator's step-batch size in every cell
-	// (sim.Config.BatchSize); 0 keeps the default. Never changes
-	// results.
-	BatchSize int
 	// Warm, when set, serves warmed machine checkpoints from a shared
 	// store (the serve frontend's copy-on-write checkpoint tree) instead
 	// of each cell re-running its own warmup. Checkpoint forks are
@@ -95,16 +86,12 @@ func (p Params) newGenerator(bench string) (workload.Generator, error) {
 	return workload.New(bench, p.Scale, p.Seed)
 }
 
-// applySpeed copies the speed knobs (fast-forward, batch size, sampling
-// tier) into one cell's simulator config. Every harness routes its
-// sim.Config through this so -fastforward, -batch, and -sample reach
-// every cell. Fast-forward and batch size are result-invariant; the
-// sampling tier is statistical (see Params.Sample).
+// applySpeed copies the sampling-tier knobs into one cell's simulator
+// config. Every harness routes its sim.Config through this so -sample
+// reaches every cell. The tier is statistical (see Params.Sample).
 //
 //m5:plumb sim.SamplingConfig ignore=FunctionalThin,WarmPrefix
 func (p Params) applySpeed(cfg *sim.Config) {
-	cfg.FastForward = p.FastForward
-	cfg.BatchSize = p.BatchSize
 	if p.Sample {
 		cfg.Sampling = sim.SamplingConfig{
 			Mode:             sim.SampleModeSampled,

@@ -67,7 +67,6 @@ func TestParamsValidate(t *testing.T) {
 		{"negative-warmup", func(p Params) Params { p.Warmup = -1; return p }, "negative Warmup"},
 		{"negative-accesses", func(p Params) Params { p.Accesses = -5; return p }, "negative Accesses"},
 		{"negative-points", func(p Params) Params { p.Points = -2; return p }, "negative Points"},
-		{"negative-batch", func(p Params) Params { p.BatchSize = -8; return p }, "negative BatchSize"},
 		{"bad-scale", func(p Params) Params { p.Scale = workload.Scale(99); return p }, "unknown scale"},
 		{"bad-benchmark", func(p Params) Params { p.Benchmarks = []string{"nope"}; return p }, `unknown benchmark "nope"`},
 		{"negative-sample-window", func(p Params) Params { p.SampleWindow = -1; return p }, "negative SampleWindow"},

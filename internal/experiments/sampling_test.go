@@ -1,9 +1,21 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 )
+
+// renderRows serializes harness rows for byte-identity comparison; JSON
+// (unlike %#v) dereferences the obs.Snapshot pointers Fig9 rows carry.
+func renderRows(t *testing.T, rows any) string {
+	t.Helper()
+	b, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 // TestSampleCoverageQuick runs a reduced equivalence sweep (two seeds, one
 // benchmark, the three gate configurations) and checks the statistical

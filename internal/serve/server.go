@@ -132,7 +132,7 @@ func (s *Server) handleHarnesses(w http.ResponseWriter, _ *http.Request) {
 		"harnesses":  hs,
 		"benchmarks": workload.Registered(),
 		"scales":     []string{"tiny", "small", "medium", "large"},
-		"defaults":   paramsView(s.cfg.Defaults),
+		"defaults":   viewParams(s.cfg.Defaults),
 	})
 }
 
@@ -203,16 +203,14 @@ func (s *Server) accumulateSamples(res *experiments.Result) {
 // ParamsPatch is a partial Params override: nil fields keep the base
 // value. It is both the query-wide override and the per-cell grid entry.
 type ParamsPatch struct {
-	Scale       *string  `json:"scale,omitempty"`
-	Warmup      *int     `json:"warmup,omitempty"`
-	Accesses    *int     `json:"accesses,omitempty"`
-	Points      *int     `json:"points,omitempty"`
-	Seed        *int64   `json:"seed,omitempty"`
-	Benchmarks  []string `json:"benchmarks,omitempty"`
-	Parallel    *int     `json:"parallel,omitempty"`
-	CollectObs  *bool    `json:"collect_obs,omitempty"`
-	FastForward *bool    `json:"fastforward,omitempty"`
-	BatchSize   *int     `json:"batch,omitempty"`
+	Scale      *string  `json:"scale,omitempty"`
+	Warmup     *int     `json:"warmup,omitempty"`
+	Accesses   *int     `json:"accesses,omitempty"`
+	Points     *int     `json:"points,omitempty"`
+	Seed       *int64   `json:"seed,omitempty"`
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	Parallel   *int     `json:"parallel,omitempty"`
+	CollectObs *bool    `json:"collect_obs,omitempty"`
 	// Sampling tier (statistical, NOT byte-identical — see
 	// experiments.Params.Sample). Per-query opt-in: server defaults keep
 	// it off so served results stay byte-identical to batch runs.
@@ -257,12 +255,6 @@ func (pp *ParamsPatch) apply(p experiments.Params) (experiments.Params, error) {
 	if pp.CollectObs != nil {
 		p.CollectObs = *pp.CollectObs
 	}
-	if pp.FastForward != nil {
-		p.FastForward = *pp.FastForward
-	}
-	if pp.BatchSize != nil {
-		p.BatchSize = *pp.BatchSize
-	}
 	if pp.Sample != nil {
 		p.Sample = *pp.Sample
 	}
@@ -279,17 +271,15 @@ func (pp *ParamsPatch) apply(p experiments.Params) (experiments.Params, error) {
 }
 
 // paramsView is the JSON echo of one cell's resolved parameters.
-type paramsView_ struct {
-	Scale       string   `json:"scale"`
-	Warmup      int      `json:"warmup"`
-	Accesses    int      `json:"accesses"`
-	Points      int      `json:"points"`
-	Seed        int64    `json:"seed"`
-	Benchmarks  []string `json:"benchmarks,omitempty"`
-	Parallel    int      `json:"parallel,omitempty"`
+type paramsView struct {
+	Scale        string   `json:"scale"`
+	Warmup       int      `json:"warmup"`
+	Accesses     int      `json:"accesses"`
+	Points       int      `json:"points"`
+	Seed         int64    `json:"seed"`
+	Benchmarks   []string `json:"benchmarks,omitempty"`
+	Parallel     int      `json:"parallel,omitempty"`
 	CollectObs   bool     `json:"collect_obs,omitempty"`
-	FastForward  bool     `json:"fastforward,omitempty"`
-	BatchSize    int      `json:"batch,omitempty"`
 	Sample       bool     `json:"sample,omitempty"`
 	SampleWindow int      `json:"sample_window,omitempty"`
 	SampleStride int      `json:"sample_stride,omitempty"`
@@ -297,8 +287,8 @@ type paramsView_ struct {
 }
 
 //m5:plumb experiments.Params ignore=Tapes,Warm
-func paramsView(p experiments.Params) paramsView_ {
-	return paramsView_{
+func viewParams(p experiments.Params) paramsView {
+	return paramsView{
 		Scale:        p.Scale.String(),
 		Warmup:       p.Warmup,
 		Accesses:     p.Accesses,
@@ -307,8 +297,6 @@ func paramsView(p experiments.Params) paramsView_ {
 		Benchmarks:   p.Benchmarks,
 		Parallel:     p.Parallel,
 		CollectObs:   p.CollectObs,
-		FastForward:  p.FastForward,
-		BatchSize:    p.BatchSize,
 		Sample:       p.Sample,
 		SampleWindow: p.SampleWindow,
 		SampleStride: p.SampleStride,
@@ -332,7 +320,7 @@ type sweepEvent struct {
 	Harness     string              `json:"harness,omitempty"`
 	Cells       int                 `json:"cells,omitempty"`
 	Cell        int                 `json:"cell,omitempty"`
-	Params      *paramsView_        `json:"params,omitempty"`
+	Params      *paramsView         `json:"params,omitempty"`
 	Result      *experiments.Result `json:"result,omitempty"`
 	Error       string              `json:"error,omitempty"`
 	WallSeconds float64             `json:"wall_seconds,omitempty"`
@@ -358,8 +346,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
+	// Unknown fields are a 400 naming the field, not a silently ignored
+	// knob: a client sending a removed option learns it has no effect.
 	var req SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decoding request: " + err.Error()})
 		return
 	}
@@ -439,7 +431,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.cells.Add(1)
 		completed++
 		s.accumulateSamples(res)
-		pv := paramsView(p)
+		pv := viewParams(p)
 		emit(sweepEvent{
 			Type:        "row",
 			Cell:        i,

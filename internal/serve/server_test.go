@@ -252,8 +252,8 @@ func TestSweepDeadline(t *testing.T) {
 }
 
 // TestSweepBadRequests pins the error surface: unknown harnesses carry
-// the registry vocabulary, malformed cells name their grid index, and
-// neither admits a query.
+// the registry vocabulary, malformed cells name their grid index, unknown
+// JSON fields are named, and none admits a query.
 func TestSweepBadRequests(t *testing.T) {
 	srv := NewServer(Config{Defaults: serveDefaults()})
 	ts := httptest.NewServer(srv)
@@ -267,6 +267,10 @@ func TestSweepBadRequests(t *testing.T) {
 		{"bad-scale", `{"harness":"fig9","params":{"scale":"galactic"}}`, "unknown scale", http.StatusBadRequest},
 		{"bad-cell", `{"harness":"fig9","grid":[{"accesses":-1}]}`, "cell 0", http.StatusBadRequest},
 		{"bad-benchmark", `{"harness":"fig9","params":{"benchmarks":["nope"]}}`, `unknown benchmark "nope"`, http.StatusBadRequest},
+		// Removed and misspelled options are named, never silently ignored.
+		{"unknown-param", `{"harness":"fig9","params":{"fastforward":true}}`, `unknown field "fastforward"`, http.StatusBadRequest},
+		{"unknown-grid-field", `{"harness":"fig9","grid":[{"batch":64}]}`, `unknown field "batch"`, http.StatusBadRequest},
+		{"unknown-top-level", `{"harness":"fig9","deadline":5}`, `unknown field "deadline"`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,7 +308,7 @@ func TestHarnessesEndpoint(t *testing.T) {
 	var body struct {
 		Harnesses  []harnessInfo `json:"harnesses"`
 		Benchmarks []string      `json:"benchmarks"`
-		Defaults   paramsView_   `json:"defaults"`
+		Defaults   paramsView    `json:"defaults"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

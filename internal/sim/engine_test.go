@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	m5mgr "m5/internal/m5"
+	"m5/internal/mem"
+	"m5/internal/obs"
 	"m5/internal/tiermem"
 	"m5/internal/trace"
 	"m5/internal/tracker"
@@ -12,44 +14,16 @@ import (
 )
 
 // runUnbatched mirrors Run's span accounting but advances the machine one
-// Step at a time — the reference the batched engine must match exactly.
+// access per StepBatch call — the reference the full-batch engine must
+// match exactly.
 func runUnbatched(r *Runner, n int) Result {
-	startNs := r.clockNs
-	startKernel := r.Sys.KernelNs()
-	startAccesses := r.accesses
-	startReads, startWrites := r.dramReads, r.dramWrites
-	r.opLat.Reset()
+	span := r.beginSpan()
 	for i := 0; i < n; i++ {
-		if !r.Step() {
+		if r.StepBatch(1) == 0 {
 			break
 		}
 	}
-	res := Result{
-		Workload:   r.gen.Name(),
-		Accesses:   r.accesses - startAccesses,
-		ElapsedNs:  r.clockNs - startNs,
-		KernelNs:   r.Sys.KernelNs() - startKernel,
-		Promotions: r.Sys.Promotions(),
-		Demotions:  r.Sys.Demotions(),
-	}
-	if r.daemon != nil {
-		res.Daemon = r.daemon.Name()
-	} else {
-		res.Daemon = "none"
-	}
-	for node := 0; node < 2; node++ {
-		res.DRAMReads[node] = r.dramReads[node] - startReads[node]
-		res.DRAMWrites[node] = r.dramWrites[node] - startWrites[node]
-	}
-	if r.opLat.Len() > 0 {
-		res.OpCount = uint64(r.opLat.Len())
-		res.P50OpNs = r.opLat.Percentile(50)
-		res.P99OpNs = r.opLat.Percentile(99)
-	}
-	if res.ElapsedNs > 0 {
-		res.AccessesPerSec = float64(res.Accesses) * 1e9 / float64(res.ElapsedNs)
-	}
-	return res
+	return r.endSpan(span)
 }
 
 // countingSink records how many DRAM accesses it observed; it adds no
@@ -62,8 +36,8 @@ type countingSink struct {
 func (s *countingSink) Observe(a trace.Access) { s.n++; s.last = a }
 
 // TestStepBatchMatchesStep pins the batched engine's equivalence claim:
-// Run (which drives StepBatch) and a Step loop with identical accounting
-// produce byte-identical Results from identical machines — including the
+// Run (which drives full batches) and a StepBatch(1) loop produce
+// byte-identical Results from identical machines — including the
 // daemon-tick, op-latency, and miss-sink paths the batched loop guards.
 func TestStepBatchMatchesStep(t *testing.T) {
 	build := func(bench string, withDaemon, withSink bool) (*Runner, *countingSink) {
@@ -103,7 +77,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			got := batched.Run(n)
 			want := runUnbatched(unbatched, n)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("batched Run diverged from Step loop:\n got %+v\nwant %+v", got, want)
+				t.Errorf("batched Run diverged from StepBatch(1) loop:\n got %+v\nwant %+v", got, want)
 			}
 			if batched.clockNs != unbatched.clockNs {
 				t.Errorf("clock diverged: %d vs %d", batched.clockNs, unbatched.clockNs)
@@ -224,12 +198,26 @@ func TestCheckpointRefusesExternalState(t *testing.T) {
 			t.Error("sink-carrying runner must refuse to checkpoint")
 		}
 	})
-	t.Run("row-buffer", func(t *testing.T) {
-		r := newRunner(t, "roms", Config{RowBuffer: true})
+	t.Run("word-remap", func(t *testing.T) {
+		r := newRunner(t, "roms", Config{})
+		r.SetWordRemap(identityRemap{})
 		if _, err := r.Checkpoint(); err == nil {
-			t.Error("row-buffer runner must refuse to checkpoint")
+			t.Error("remapper-carrying runner must refuse to checkpoint")
 		}
 	})
+	t.Run("metrics-registry", func(t *testing.T) {
+		r := newRunner(t, "roms", Config{Metrics: obs.New()})
+		if _, err := r.Checkpoint(); err == nil {
+			t.Error("registry-carrying runner must refuse to checkpoint")
+		}
+	})
+}
+
+// identityRemap serves every word from its home tier at no extra cost.
+type identityRemap struct{}
+
+func (identityRemap) Serve(_ mem.WordNum, home tiermem.NodeID) (tiermem.NodeID, uint64) {
+	return home, 0
 }
 
 func benchRunner(b *testing.B) *Runner {
@@ -242,16 +230,6 @@ func benchRunner(b *testing.B) *Runner {
 	b.Cleanup(r.Close)
 	r.Run(100_000) // fault in the arena so the loop measures steady state
 	return r
-}
-
-func BenchmarkRunnerStep(b *testing.B) {
-	r := benchRunner(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !r.Step() {
-			b.Fatal("stream ended")
-		}
-	}
 }
 
 func BenchmarkRunnerStepBatch(b *testing.B) {

@@ -1,5 +1,3 @@
-//m5:floatestimate this file IS the sampling-estimate layer: the Horvitz-Thompson estimator and the CLT error budget are float math by construction, and sampled-mode results are estimates, not byte-identity metrics
-//
 // Tiered-fidelity execution (SMARTS-style sampled simulation): a sampled
 // Run alternates *functional warming* stretches with periodic *detailed
 // measurement* windows.
@@ -8,20 +6,18 @@
 // exactly as exact mode would — TLB fills and shootdowns, page-table
 // accessed/dirty bits, cache tag/LRU state via the batched classify
 // kernel, tier residency counters, CXL device snoops (so PAC/WAC and the
-// HPT/HWT trackers keep counting), miss-sink observes, row-buffer state —
-// but skip the per-access clock arithmetic: the simulated clock advances
-// once per batch at the current estimate of mean ns/access, so daemon
-// ticks and context-switch flushes still fire at their simulated-time
-// cadence.
+// HPT/HWT trackers keep counting), miss-sink observes — but skip the
+// per-access clock arithmetic: the simulated clock advances once per
+// batch at the current estimate of mean ns/access, so daemon ticks and
+// context-switch flushes still fire at their simulated-time cadence.
 //
 // Detailed windows run the unmodified exact engine (the same StepBatch
-// path, fast-forward included when enabled); each full window contributes
-// one per-access-latency sample to a streaming Welford accumulator. The
-// span's headline ElapsedNs is then estimated as mean(window ns/access) ×
-// accesses, with a Student-t confidence interval (internal/stats) reported
-// on the Result.
+// path); each full window contributes one per-access-latency sample to a
+// streaming Welford accumulator. The span's headline ElapsedNs is then
+// estimated as mean(window ns/access) × accesses, with a Student-t
+// confidence interval (internal/stats) reported on the Result.
 //
-// Unlike fast-forward, sampling is deliberately NOT byte-identical: the
+// Unlike exact mode, sampling is deliberately NOT byte-identical: the
 // contract is statistical — the equivalence harness
 // (experiments.SampleCoverage) runs sampled vs. exact across seeds and
 // checks the exact value falls inside the declared interval at the
@@ -34,6 +30,8 @@
 // fixed stride (systematic sampling). No RNG state is consulted, so two
 // runs of the same config and seed produce identical schedules, results,
 // and obs counters — the determinism tests pin this.
+//
+//m5:floatestimate this file IS the sampling-estimate layer: the Horvitz-Thompson estimator and the CLT error budget are float math by construction, and sampled-mode results are estimates, not byte-identity metrics
 package sim
 
 import (
@@ -216,6 +214,41 @@ type sampleState struct {
 	// owed counts thinned-away batches since the last full-fidelity
 	// functional batch; that batch credits its traffic 1+owed times.
 	owed int
+}
+
+// functionalState is the functional kernel's reusable scratch, sized
+// once for the runner batch so the per-batch paths never allocate.
+type functionalState struct {
+	cols workload.Columns
+	// phys holds the batch's translated physical addresses; class and wb
+	// receive the cache classify kernel's per-access outcomes and its
+	// ordered writeback stream.
+	phys  []mem.PhysAddr
+	class []cache.AccessClass
+	wb    []mem.PhysAddr
+	// memoVPN/memoBase mirror the TLB memo: the page and frame base of
+	// the most recent full translation. Trustworthy only when
+	// TLB.RepeatHit(memoVPN) succeeds — every frame change shoots down
+	// the TLB entry, which drops the memo.
+	memoVPN  tiermem.VPN
+	memoBase mem.PhysAddr
+	memoOK   bool
+}
+
+// functionalInit builds the functional kernel's scratch and the runner's
+// batch buffer (once per runner).
+func (r *Runner) functionalInit() *functionalState {
+	fn := &functionalState{
+		phys:  make([]mem.PhysAddr, runnerBatch),
+		class: make([]cache.AccessClass, runnerBatch),
+		wb:    make([]mem.PhysAddr, 0, 64),
+	}
+	fn.cols.Grow(runnerBatch)
+	if r.batch == nil {
+		r.batch = make([]workload.Access, runnerBatch)
+	}
+	r.fn = fn
+	return fn
 }
 
 // sampleOffset mixes the sampling seed with the stream position at span
@@ -462,20 +495,16 @@ func (r *Runner) runThinnedSpan(k int) int {
 //
 //m5:hotpath
 func (r *Runner) stepSkip(max int) int {
-	ff := r.ffs
-	if ff == nil {
+	fn := r.fn
+	if fn == nil {
 		//m5:coldpath one-time scratch construction on first functional batch.
-		ff = r.ffInit()
-	}
-	if r.batch == nil {
-		//m5:coldpath one-time batch buffer construction.
-		r.batch = make([]workload.Access, r.batchSize)
+		fn = r.functionalInit()
 	}
 	want := max
-	if want > r.batchSize {
-		want = r.batchSize
+	if want > runnerBatch {
+		want = runnerBatch
 	}
-	n, ops := workload.SkipColumns(r.gen, r.batch, &ff.cols, want)
+	n, ops := workload.SkipColumns(r.gen, r.batch, &fn.cols, want)
 	if n == 0 {
 		return 0
 	}
@@ -512,25 +541,21 @@ func (r *Runner) stepSkip(max int) int {
 // neighbour batches (runThinnedSpan): every DRAM read/write, device snoop,
 // and sink observe is credited weight times, so traffic counters and
 // tracker counts stay unbiased in expectation. State transitions (cache
-// fills, row-buffer activations) happen once — repeating them would fake
-// locality that the skipped batches may not have had.
+// fills) happen once — repeating them would fake locality that the
+// skipped batches may not have had.
 //
 //m5:hotpath
 func (r *Runner) stepFunctional(max, weight int) int {
-	ff := r.ffs
-	if ff == nil {
+	fn := r.fn
+	if fn == nil {
 		//m5:coldpath one-time scratch construction on first functional batch.
-		ff = r.ffInit()
-	}
-	if r.batch == nil {
-		//m5:coldpath one-time batch buffer construction.
-		r.batch = make([]workload.Access, r.batchSize)
+		fn = r.functionalInit()
 	}
 	want := max
-	if want > r.batchSize {
-		want = r.batchSize
+	if want > runnerBatch {
+		want = runnerBatch
 	}
-	n := workload.NextColumns(r.gen, r.batch, &ff.cols, want)
+	n := workload.NextColumns(r.gen, r.batch, &fn.cols, want)
 	if n == 0 {
 		return 0
 	}
@@ -544,23 +569,23 @@ func (r *Runner) stepFunctional(max, weight int) int {
 		tr   tiermem.TranslateResult
 	)
 	for i := 0; i < n; i++ {
-		va := base + tiermem.VirtAddr(ff.cols.Offs[i])
+		va := base + tiermem.VirtAddr(fn.cols.Offs[i])
 		v := va.Page()
-		if ff.memoOK && v == ff.memoVPN && tlb.RepeatHit(v) {
-			ff.phys[i] = ff.memoBase + mem.PhysAddr(va.Offset())
+		if fn.memoOK && v == fn.memoVPN && tlb.RepeatHit(v) {
+			fn.phys[i] = fn.memoBase + mem.PhysAddr(va.Offset())
 		} else {
-			write := ff.cols.Writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
+			write := fn.cols.Writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 			r.Sys.TranslateInto(0, va, write, &tr)
-			ff.phys[i] = tr.Phys
-			ff.memoVPN = v
-			ff.memoBase = tr.Phys - mem.PhysAddr(va.Offset())
-			ff.memoOK = true
+			fn.phys[i] = tr.Phys
+			fn.memoVPN = v
+			fn.memoBase = tr.Phys - mem.PhysAddr(va.Offset())
+			fn.memoOK = true
 		}
 	}
 	// The batch spans the whole columnar pull, so the batch-relative
 	// write bitset is the columns' own.
-	wbs := r.Cache.AccessBatch(ff.phys[:n], ff.cols.Writes, ff.class[:n], ff.wb[:0])
-	ff.wb = wbs[:0]
+	wbs := r.Cache.AccessBatch(fn.phys[:n], fn.cols.Writes, fn.class[:n], fn.wb[:0])
+	fn.wb = wbs[:0]
 	var (
 		hasSinks = len(r.sinks) > 0
 		remap    = r.remap
@@ -570,23 +595,20 @@ func (r *Runner) stepFunctional(max, weight int) int {
 		uw       = uint64(weight)
 	)
 	for j := 0; j < n; j++ {
-		c := ff.class[j]
+		c := fn.class[j]
 		if c == 0 {
 			continue // pure L1 hit: no DRAM traffic to account
 		}
 		if c.Level() == cache.HitMemory {
-			phys := ff.phys[j]
+			phys := fn.phys[j]
 			node := r.Sys.NodeOfAddr(phys)
 			if remap != nil {
 				node, _ = remap.Serve(phys.Word(), node)
 			}
 			r.Sys.Node(node).CountReads(uw)
 			r.dramReads[node] += uw
-			if ch := r.channels[node]; ch != nil {
-				ch.Access(phys) // keep row-buffer locality state warm
-			}
 			if node == tiermem.NodeCXL || hasSinks {
-				write := ff.cols.Writes[uint(j)>>6]&(1<<(uint(j)&63)) != 0
+				write := fn.cols.Writes[uint(j)>>6]&(1<<(uint(j)&63)) != 0
 				scratch = trace.Access{Time: now, Addr: phys, Write: write}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.AccessN(scratch, uw)
@@ -604,21 +626,6 @@ func (r *Runner) stepFunctional(max, weight int) int {
 			r.dramWrites[node] += uw
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: now, Addr: wb, Write: true}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.AccessN(scratch, uw)
-				}
-				if hasSinks {
-					r.sinks.ObserveN(scratch, uw)
-				}
-			}
-		}
-		if c.Prefetched() {
-			pf := (ff.phys[j] &^ (mem.WordSize - 1)) + mem.WordSize
-			node := r.Sys.CountDRAMAccess(pf, false)
-			r.Sys.Node(node).CountReads(uw - 1)
-			r.dramReads[node] += uw
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: now, Addr: pf}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.AccessN(scratch, uw)
 				}
@@ -646,7 +653,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 	// All kernel time the batch triggered (faults during translation,
 	// sink observes, the tick) stalls the core, exactly as in exact mode.
 	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	if len(ff.cols.OpEnds) > 0 {
+	if len(fn.cols.OpEnds) > 0 {
 		// Op latencies are measured inside detailed windows only; resync
 		// the op origin so a window's first completed op is not charged
 		// for the functional stretch before it.

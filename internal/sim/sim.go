@@ -17,7 +17,6 @@ import (
 
 	"m5/internal/cache"
 	"m5/internal/cxl"
-	"m5/internal/dram"
 	"m5/internal/mem"
 	"m5/internal/obs"
 	"m5/internal/stats"
@@ -73,12 +72,6 @@ type Config struct {
 	// migrations move whole units. Requires a footprint of at least one
 	// huge page.
 	HugePages bool
-	// RowBuffer enables the DRAM row-buffer timing model (package dram):
-	// the fixed per-tier read latencies split into a link/controller part
-	// plus a row-hit/miss/conflict device part, so streaming traffic sees
-	// lower effective DRAM latency than scattered traffic — the Ramulator
-	// fidelity level of the paper's trace methodology.
-	RowBuffer bool
 	// TLBEntries sizes the core TLB. The default scales with the
 	// footprint, preserving the paper's TLB-coverage ratio (1536 entries
 	// over ~2M pages): a scaled-down instance gets a scaled-down TLB, so
@@ -90,31 +83,16 @@ type Config struct {
 	// invalidation path. Default 1ms of simulated time (a 1kHz tick).
 	CtxSwitchPeriodNs uint64
 	// Metrics, when non-nil, is the experiment's observability registry:
-	// the runner fans scoped children out to every layer ("cache",
-	// "dram.ddr", "dram.cxl", "cxl", "mem") and observes daemon-tick
-	// kernel time under "policy". Nil keeps every instrumented hot path at
-	// a single nil check (zero allocations, no counter work).
+	// the runner fans scoped children out to every layer ("cache", "cxl",
+	// "mem") and observes daemon-tick kernel time under "policy". Nil
+	// keeps every instrumented hot path at a single nil check (zero
+	// allocations, no counter work).
 	Metrics *obs.Registry
-	// BatchSize is how many accesses the batched loop pulls from the
-	// generator per refill (default 1024). Batch size never changes
-	// results — it only amortizes generator dispatch — so it is exposed
-	// for sensitivity testing and benching.
-	BatchSize int
-	// FastForward opts into the epoch fast-forward engine: between event
-	// horizons (daemon ticks, context-switch TLB flushes) whole tape
-	// segments execute through vectorized translate/classify/commit
-	// kernels instead of the scalar per-access loop. Byte-identical to
-	// exact mode on every metric and obs counter (the equivalence tests
-	// pin this); the engine silently stays on the exact path whenever a
-	// configuration it cannot bound is present (a word remapper, or a
-	// miss sink without a kernel-cost bound).
-	FastForward bool
 	// Sampling selects the fidelity tier (see sampling.go): the
 	// zero value and "exact" keep the byte-identical engine; "sampled"
 	// alternates functional warming with detailed measurement windows
 	// and reports headline time as an estimate with a Student-t
-	// confidence interval. Composable with FastForward (detailed windows
-	// then run through the fast-forward engine).
+	// confidence interval.
 	Sampling SamplingConfig
 }
 
@@ -129,9 +107,7 @@ type Runner struct {
 	base     tiermem.VPN
 	daemon   Daemon
 	remap    WordRemap
-	channels [2]*dram.Channel // nil unless RowBuffer is enabled
-	linkNs   [2]uint64        // link/controller latency above the device
-	sinks    trace.Tee        // observers of the full DRAM-access stream
+	sinks    trace.Tee // observers of the full DRAM-access stream
 	clockNs  uint64
 	nextTick uint64
 	opStart  uint64
@@ -142,28 +118,18 @@ type Runner struct {
 	latHit [4]uint64
 	// batch is the reusable access buffer the batched loop pulls the
 	// generator stream into (also the transpose scratch of the
-	// fast-forward refill path).
-	batch     []workload.Access
-	batchSize int
-
-	// Fast-forward state: ff is the opt-in flag; maxServeNs bounds the
-	// clock advance of one access's serve phase (translate extra and
-	// kernel time are tracked exactly); sinkBoundNs sums the per-Observe
-	// kernel bounds of attached sinks, and sinkUnbounded pins the engine
-	// to the exact path when a sink cannot bound its charge.
-	ff            bool
-	maxServeNs    uint64
-	sinkBoundNs   uint64
-	sinkUnbounded bool
-	ffs           *ffState
+	// functional kernel's columnar refill).
+	batch []workload.Access
 
 	// Sampled-mode state (sampling.go): sampled caches
-	// cfg.Sampling.Enabled(); smp is the per-Run scheduler scratch.
+	// cfg.Sampling.Enabled(); smp is the per-Run scheduler scratch and
+	// fn the functional kernel's.
 	// estPrior persists the measured mean user-side ns/access across Runs
 	// (and through Checkpoint/Fork), so spans too short to schedule their
 	// own windows can still run thinned against a primed estimate.
 	sampled  bool
 	smp      sampleState
+	fn       *functionalState
 	estPrior float64
 
 	ctxNs   uint64
@@ -240,12 +206,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.CtxSwitchPeriodNs == 0 {
 		cfg.CtxSwitchPeriodNs = 1_000_000
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = runnerBatch
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("sim: batch size %d must be positive", cfg.BatchSize)
-	}
 	if err := cfg.Sampling.validate(); err != nil {
 		return nil, err
 	}
@@ -307,24 +267,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 	memScope := cfg.Metrics.Scope("mem")
 	r.obsKernelNs = memScope.Gauge("kernel_ns")
 	r.obsResidentDDR = memScope.Gauge("resident_ddr_pages")
-	if cfg.RowBuffer {
-		ddr, cxlDev := dram.DDR5Host(), dram.DDR4Device()
-		ddr.Metrics = cfg.Metrics.Scope("dram.ddr")
-		cxlDev.Metrics = cfg.Metrics.Scope("dram.cxl")
-		r.channels[tiermem.NodeDDR] = dram.New(ddr)
-		r.channels[tiermem.NodeCXL] = dram.New(cxlDev)
-		// The fixed tier latency decomposes into link/controller time
-		// plus the device's row-miss case, keeping averages comparable
-		// with the flat model.
-		r.linkNs[tiermem.NodeDDR] = cfg.Costs.DDRReadNs - ddr.Timing.RowMissNs
-		r.linkNs[tiermem.NodeCXL] = cfg.Costs.CXLReadNs - cxlDev.Timing.RowMissNs
-	}
 	r.latHit[cache.HitL1] = cfg.Costs.L1HitNs
 	r.latHit[cache.HitL2] = cfg.Costs.L2HitNs
 	r.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
-	r.batchSize = cfg.BatchSize
-	r.ff = cfg.FastForward
-	r.maxServeNs = r.maxServeBound()
 	r.sampled = cfg.Sampling.Enabled()
 	if r.sampled {
 		sampleScope := cfg.Metrics.Scope("sample")
@@ -338,45 +283,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// maxServeBound returns an upper bound on the clock advance of one
-// access's serve phase — hit latency or DRAM read (worst row-buffer
-// outcome included) plus up to three writebacks. Translate extra time,
-// kernel time, and sink-observe charges are bounded separately by the
-// fast-forward scheduler.
-func (r *Runner) maxServeBound() uint64 {
-	read := r.costs.DDRReadNs
-	if r.costs.CXLReadNs > read {
-		read = r.costs.CXLReadNs
-	}
-	for node := 0; node < 2; node++ {
-		if ch := r.channels[node]; ch != nil {
-			if b := r.linkNs[node] + ch.MaxAccessNs(); b > read {
-				read = b
-			}
-		}
-	}
-	serve := read
-	for _, lat := range r.latHit {
-		if lat > serve {
-			serve = lat
-		}
-	}
-	return serve + 3*r.costs.DRAMWriteNs
-}
-
-// DRAMChannel returns the node's row-buffer channel (nil when the flat
-// latency model is in use).
-func (r *Runner) DRAMChannel(node tiermem.NodeID) *dram.Channel {
-	return r.channels[node]
-}
-
 // dramReadLatency returns the read latency for a DRAM access at the node.
+//
 //m5:hotpath
-func (r *Runner) dramReadLatency(node tiermem.NodeID, a mem.PhysAddr) uint64 {
-	if ch := r.channels[node]; ch != nil {
-		_, lat := ch.Access(a)
-		return r.linkNs[node] + lat
-	}
+func (r *Runner) dramReadLatency(node tiermem.NodeID) uint64 {
 	if node == tiermem.NodeCXL {
 		return r.costs.CXLReadNs
 	}
@@ -414,11 +324,6 @@ func (r *Runner) SetDaemon(d Daemon) {
 // see only device traffic, as in hardware.
 func (r *Runner) AttachMissSink(s trace.Sink) {
 	r.sinks = append(r.sinks, s)
-	if b, ok := s.(trace.KernelCostBounded); ok {
-		r.sinkBoundNs += b.MaxObserveKernelNs()
-	} else {
-		r.sinkUnbounded = true
-	}
 }
 
 // SetWordRemap installs a memory-controller-level word remapper (nil
@@ -429,116 +334,21 @@ func (r *Runner) SetWordRemap(m WordRemap) { r.remap = m }
 // NowNs returns the simulated clock.
 func (r *Runner) NowNs() uint64 { return r.clockNs }
 
-// Step executes exactly one workload access and returns false when the
-// workload stream has ended.
-func (r *Runner) Step() bool {
-	a, ok := r.gen.Next()
-	if !ok {
-		return false
-	}
-	r.accesses++
-	kernelBefore := r.Sys.KernelNs()
-	va := r.base.Addr() + tiermem.VirtAddr(a.Offset)
-	tr := r.Sys.Translate(0, va, a.Write)
-	r.clockNs += tr.ExtraNs
-
-	res := r.Cache.Access(tr.Phys, a.Write)
-	switch res.Level {
-	case cache.HitL1:
-		r.clockNs += r.costs.L1HitNs
-	case cache.HitL2:
-		r.clockNs += r.costs.L2HitNs
-	case cache.HitLLC:
-		r.clockNs += r.costs.LLCHitNs
-	case cache.HitMemory:
-		node := r.Sys.NodeOfAddr(tr.Phys)
-		if r.remap != nil {
-			served, extra := r.remap.Serve(tr.Phys.Word(), node)
-			r.clockNs += extra
-			node = served
-		}
-		if node == tiermem.NodeDDR {
-			r.Sys.Node(tiermem.NodeDDR).CountRead() //m5:unitcredit exact engine: one access, weight 1
-		} else {
-			r.Sys.Node(tiermem.NodeCXL).CountRead() //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.dramReads[node]++
-		r.clockNs += r.dramReadLatency(node, tr.Phys)
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}) //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}) //m5:unitcredit exact engine: one access, weight 1
-	}
-	for _, wb := range res.Writeback {
-		node := r.Sys.CountDRAMAccess(wb, true)
-		r.dramWrites[node]++
-		r.clockNs += r.costs.DRAMWriteNs
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: wb, Write: true}) //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: wb, Write: true}) //m5:unitcredit exact engine: one access, weight 1
-	}
-	// Prefetch fills consume DRAM bandwidth and are visible to the CXL
-	// controller's counters — the hardware cannot tell demand from
-	// prefetch — but add no demand latency to the core.
-	for _, pf := range res.Prefetched {
-		node := r.Sys.CountDRAMAccess(pf, false)
-		r.dramReads[node]++
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: pf}) //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: pf}) //m5:unitcredit exact engine: one access, weight 1
-	}
-
-	if a.OpEnd {
-		r.opLat.Add(float64(r.clockNs - r.opStart))
-		r.opStart = r.clockNs
-	}
-
-	// Periodic context switch: flush the TLB so accessed bits keep being
-	// set by fresh page walks (the passive invalidation path of §2.1).
-	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
-		r.Sys.TLB(0).Flush()
-		r.nextCtx = r.clockNs + r.ctxNs
-	}
-
-	// The migration daemon shares the core.
-	if r.daemon != nil && r.clockNs >= r.nextTick {
-		tickKernelBefore := r.Sys.KernelNs()
-		r.daemon.Tick(r.clockNs)
-		r.nextTick = r.clockNs + r.daemon.PeriodNs()
-		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
-	}
-
-	// All kernel mm work this access triggered — fault handling (with any
-	// inline ANB promotion), PTE scans, shootdowns, migrate_pages(), and
-	// the daemon tick itself — stalls this core for exactly the kernel
-	// time it consumed (the paper pins kernel threads to the workload
-	// core, §6).
-	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	return true
-}
-
-// runnerBatch is the default number of accesses the batched loop pulls
-// from the generator per refill (Config.BatchSize overrides).
+// runnerBatch is the number of accesses the batched loop pulls from the
+// generator per refill. It never changes results — it only amortizes
+// generator dispatch.
 const runnerBatch = 1024
 
 // StepBatch executes up to max accesses (bounded by one internal batch)
-// and returns how many ran; 0 means the workload stream has ended. It is
-// access-for-access equivalent to calling Step in a loop — the batching
-// only amortizes generator dispatch and hoists loop-invariant branches.
-// With fast-forward enabled (and boundable: no word remapper, every sink
-// kernel-cost bounded) the batch runs through the segment scheduler
-// instead; the result is byte-identical either way.
+// and returns how many ran; 0 means the workload stream has ended.
+// Results depend only on the total access count, never on how it is cut
+// into StepBatch calls.
 func (r *Runner) StepBatch(max int) int {
 	if max <= 0 {
 		return 0
 	}
 	if r.batch == nil {
-		r.batch = make([]workload.Access, r.batchSize)
-	}
-	if r.ff && r.remap == nil && !r.sinkUnbounded {
-		return r.stepBatchFF(max)
+		r.batch = make([]workload.Access, runnerBatch)
 	}
 	buf := r.batch
 	if max < len(buf) {
@@ -556,7 +366,7 @@ func (r *Runner) StepBatch(max int) int {
 // remapper, daemon, context-switch period, arena base) is hoisted into
 // locals; the hit-level switch is a table lookup; and one trace.Access
 // scratch value feeds both the CXL snoop path and the miss-sink fan-out.
-// The body mirrors Step exactly — determinism tests pin the equivalence.
+//
 //m5:hotpath
 func (r *Runner) runBatch(accs []workload.Access) {
 	var (
@@ -588,7 +398,7 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			}
 			r.Sys.Node(node).CountRead() //m5:unitcredit exact engine: one access, weight 1
 			r.dramReads[node]++
-			r.clockNs += r.dramReadLatency(node, tr.Phys)
+			r.clockNs += r.dramReadLatency(node)
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}
 				if node == tiermem.NodeCXL {
@@ -605,19 +415,6 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			r.clockNs += r.costs.DRAMWriteNs
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: wb, Write: true}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-				if hasSinks {
-					r.sinks.Observe(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-			}
-		}
-		for _, pf := range res.Prefetched {
-			node := r.Sys.CountDRAMAccess(pf, false)
-			r.dramReads[node]++
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: r.clockNs, Addr: pf}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
 				}
@@ -649,10 +446,10 @@ func (r *Runner) runBatch(accs []workload.Access) {
 }
 
 // Run executes n accesses (or until the stream ends) and returns metrics
-// for that span. Internally it drives the batched loop; the result is
-// access-for-access identical to a Step loop. With Config.Sampling set to
-// "sampled" the span runs through the tiered-fidelity scheduler instead
-// (sampling.go) and the headline time is a windowed estimate.
+// for that span. Internally it drives the batched loop. With
+// Config.Sampling set to "sampled" the span runs through the
+// tiered-fidelity scheduler instead (sampling.go) and the headline time
+// is a windowed estimate.
 func (r *Runner) Run(n int) Result {
 	if r.sampled {
 		return r.runSampled(n)

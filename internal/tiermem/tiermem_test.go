@@ -2,6 +2,7 @@ package tiermem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"m5/internal/mem"
@@ -174,6 +175,87 @@ func TestTLBInvalidateAndFlush(t *testing.T) {
 	if tlb.Len() != 0 || tlb.Lookup(1) {
 		t.Error("flush should empty the TLB")
 	}
+}
+
+// TestTLBRepeatHit pins the memo replay the sampled tier's functional
+// kernel uses to skip full translations: RepeatHit is true only for the
+// memoized VPN, where it equals a Lookup hit, and once Flush, Invalidate
+// or an evicting Insert drops the memo it returns false and mutates
+// nothing.
+func TestTLBRepeatHit(t *testing.T) {
+	type state struct {
+		snap     TLBSnapshot
+		lastVPN  VPN
+		lastSlot int32
+	}
+	capture := func(tlb *TLB) state { return state{tlb.Snapshot(), tlb.lastVPN, tlb.lastSlot} }
+	// refuses checks that RepeatHit(v) returns false and changes no state.
+	refuses := func(t *testing.T, tlb *TLB, v VPN) {
+		t.Helper()
+		before := capture(tlb)
+		if tlb.RepeatHit(v) {
+			t.Fatalf("RepeatHit(%d) = true, want false", v)
+		}
+		if after := capture(tlb); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refused RepeatHit(%d) mutated the TLB:\n before %+v\n after  %+v", v, before, after)
+		}
+	}
+	// matchesLookup checks that RepeatHit(v) on tlb and Lookup(v) on an
+	// identical twin both hit and leave identical state.
+	matchesLookup := func(t *testing.T, tlb, twin *TLB, v VPN) {
+		t.Helper()
+		if !tlb.RepeatHit(v) || !twin.Lookup(v) {
+			t.Fatalf("RepeatHit(%d) and Lookup(%d) should both hit", v, v)
+		}
+		if got, want := capture(tlb), capture(twin); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RepeatHit(%d) diverged from Lookup:\n got  %+v\n want %+v", v, got, want)
+		}
+	}
+	// pair builds two TLBs put through the same operations.
+	pair := func(ops func(*TLB)) (*TLB, *TLB) {
+		a, b := NewTLB(2), NewTLB(2)
+		ops(a)
+		ops(b)
+		return a, b
+	}
+
+	t.Run("memoized-only", func(t *testing.T) {
+		tlb, twin := pair(func(x *TLB) { x.Insert(1); x.Insert(2) })
+		refuses(t, tlb, 1) // resident, but not the memo
+		refuses(t, tlb, 3) // absent
+		matchesLookup(t, tlb, twin, 2)
+		matchesLookup(t, tlb, twin, 2)
+		// A Lookup hit moves the memo; RepeatHit follows it.
+		tlb.Lookup(1)
+		twin.Lookup(1)
+		refuses(t, tlb, 2)
+		matchesLookup(t, tlb, twin, 1)
+	})
+	t.Run("flush", func(t *testing.T) {
+		tlb := NewTLB(2)
+		tlb.Insert(1)
+		tlb.Flush()
+		refuses(t, tlb, 1)
+	})
+	t.Run("invalidate", func(t *testing.T) {
+		tlb := NewTLB(2)
+		tlb.Insert(1)
+		tlb.Invalidate(1)
+		refuses(t, tlb, 1)
+	})
+	t.Run("evicting-insert", func(t *testing.T) {
+		tlb, twin := pair(func(x *TLB) {
+			x.Insert(1)
+			x.Insert(2)
+			x.Lookup(1) // memo on 1, the clock's next victim
+			x.Insert(3) // full TLB: evicts 1
+		})
+		if tlb.Len() != 2 || tlb.index.get(1) >= 0 {
+			t.Fatal("Insert(3) should have evicted VPN 1")
+		}
+		refuses(t, tlb, 1)
+		matchesLookup(t, tlb, twin, 3)
+	})
 }
 
 func TestTLBDefaultCapacity(t *testing.T) {

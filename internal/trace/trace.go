@@ -41,17 +41,6 @@ type Sink interface {
 	Observe(Access)
 }
 
-// KernelCostBounded is implemented by sinks whose per-Observe kernel-time
-// charge (System.AddKernelNs) has a static upper bound. The simulator's
-// fast-forward engine needs such a bound to prove no event horizon can be
-// crossed mid-segment; a sink that cannot bound its charge keeps the
-// engine on the exact scalar path (which is always correct, just slower).
-type KernelCostBounded interface {
-	// MaxObserveKernelNs bounds the kernel nanoseconds one Observe call
-	// may charge.
-	MaxObserveKernelNs() uint64
-}
-
 // WeightedSink is implemented by sinks that can record one access n times
 // in O(1). ObserveN(a, n) must leave the sink in the same observable state
 // as n consecutive Observe(a) calls; the simulator's sampled tier uses it
@@ -74,6 +63,7 @@ func (f SinkFunc) Observe(a Access) { f(a) }
 type Tee []Sink
 
 // Observe implements Sink by forwarding to every sink in order.
+//
 //m5:hotpath
 func (t Tee) Observe(a Access) {
 	for _, s := range t {
@@ -84,6 +74,7 @@ func (t Tee) Observe(a Access) {
 // ObserveN implements WeightedSink: sinks that support weighted observes
 // get one O(1) call; the rest replay n sequential Observes, so the fan-out
 // is state-equivalent either way.
+//
 //m5:hotpath
 func (t Tee) ObserveN(a Access, n uint64) {
 	for _, s := range t {

@@ -56,6 +56,7 @@ type BatchGenerator interface {
 // NextBatch fills buf from g, using the generator's batch path when it has
 // one and falling back to repeated Next calls otherwise, so engines can be
 // written against batches without caring which kind of generator they got.
+//
 //m5:hotpath
 func NextBatch(g Generator, buf []Access) int {
 	if bg, ok := g.(BatchGenerator); ok {
@@ -76,8 +77,8 @@ func NextBatch(g Generator, buf []Access) int {
 // Columns is a batch of accesses in columnar (structure-of-arrays) form:
 // Offs holds byte offsets, Writes is a bitset (bit i set = access i is a
 // store), and OpEnds lists the in-batch indices that end client-visible
-// operations, ascending. The fast-forward engine consumes batches in this
-// shape so tape replay can decode straight into packed arrays instead of
+// operations, ascending. The simulator's functional kernel consumes
+// batches in this shape so tape replay can decode straight into packed arrays instead of
 // per-access structs.
 type Columns struct {
 	Offs   []uint64
@@ -104,6 +105,7 @@ func (c *Columns) Grow(n int) {
 // is resized to n (fillers shrink it to the produced count), the write
 // bitset words covering n bits are zeroed, and OpEnds is emptied. The
 // caller must have Grown the columns to at least n.
+//
 //m5:hotpath
 func (c *Columns) Clear(n int) {
 	c.Offs = c.Offs[:n]
@@ -131,6 +133,7 @@ type ColumnarGenerator interface {
 // Transpose converts a row-form batch into columnar form (a full refill:
 // previous contents are discarded). The caller must have Grown c to at
 // least len(batch).
+//
 //m5:hotpath
 func Transpose(batch []Access, c *Columns) {
 	c.Clear(len(batch))
@@ -152,6 +155,7 @@ func Transpose(batch []Access, c *Columns) {
 // preferring the generator's columnar path and falling back to a
 // NextBatch into scratch (which must hold max accesses) plus a Transpose.
 // Like NextBatch, a return of 0 means the stream has ended.
+//
 //m5:hotpath
 func NextColumns(g Generator, scratch []Access, c *Columns, max int) int {
 	if cg, ok := g.(ColumnarGenerator); ok {
@@ -184,6 +188,7 @@ type ColumnarSkipper interface {
 // identical across both paths; only the materialization is avoided. It
 // returns the count discarded and whether an operation boundary was
 // crossed.
+//
 //m5:hotpath
 func SkipColumns(g Generator, scratch []Access, cols *Columns, max int) (int, bool) {
 	if s, ok := g.(ColumnarSkipper); ok {
