@@ -21,6 +21,7 @@ var deterministicPkgs = []string{
 	"m5/internal/tracker",
 	"m5/internal/pac",
 	"m5/internal/workload",
+	"m5/internal/m5",
 }
 
 // inDeterministicScope reports whether the package path falls under the

@@ -2,11 +2,9 @@ package cache
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"m5/internal/mem"
-	"m5/internal/obs"
 )
 
 func tinyHierarchy() *Hierarchy {
@@ -249,125 +247,5 @@ func TestInclusionInvariant(t *testing.T) {
 	}
 	if hitsL1 == 0 {
 		t.Skip("no L1-resident lines sampled")
-	}
-}
-
-// TestAccessBatchMatchesAccess pins the batched classify kernel the
-// sampled tier's functional loop runs on: AccessBatch must mutate
-// hierarchy state exactly as the same stream of sequential Access calls,
-// and report each access's level and writebacks as Access would. Streams
-// mix random lines with same-line repeats (the kernel's short-circuit)
-// across the platform default, a scaled-down shape, and a single-set LLC
-// where every fill evicts.
-func TestAccessBatchMatchesAccess(t *testing.T) {
-	uniform := func(lines int) func(*rand.Rand) int {
-		return func(rng *rand.Rand) int { return rng.Intn(lines) }
-	}
-	cases := []struct {
-		name string
-		cfg  HierarchyConfig
-		line func(*rand.Rand) int // draws the next fresh line address
-	}{
-		// The default LLC has 65536 sets: a uniform stream this short
-		// would never evict, so crowd 64 tags into 4 sets of every level.
-		{"default", HierarchyConfig{}, func(rng *rand.Rand) int { return rng.Intn(64)<<16 | rng.Intn(4) }},
-		{"scaled", HierarchyConfig{
-			L1:          Config{SizeBytes: 8 << 10, Ways: 2},
-			L2:          Config{SizeBytes: 32 << 10, Ways: 4},
-			LLCWayBytes: 8 << 10,
-			LLCWays:     8,
-		}, uniform(1 << 16)},
-		{"single-set-llc", HierarchyConfig{
-			L1:          Config{SizeBytes: 128, Ways: 2},
-			L2:          Config{SizeBytes: 256, Ways: 4},
-			LLCWayBytes: 64,
-			LLCWays:     8,
-		}, uniform(1 << 10)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			seqReg, batchReg := obs.New(), obs.New()
-			seqCfg, batchCfg := tc.cfg, tc.cfg
-			seqCfg.Metrics, batchCfg.Metrics = seqReg, batchReg
-			seq, batched := NewHierarchy(seqCfg), NewHierarchy(batchCfg)
-			if batched.LLC().Sets() != 1 && tc.name == "single-set-llc" {
-				t.Fatalf("LLC has %d sets, want 1", batched.LLC().Sets())
-			}
-
-			const n = 60_000
-			rng := rand.New(rand.NewSource(int64(len(tc.name))))
-			phys := make([]mem.PhysAddr, n)
-			writes := make([]uint64, (n+63)/64)
-			for i := range phys {
-				line := mem.PhysAddr(tc.line(rng)) << mem.WordShift
-				if i > 0 && rng.Intn(3) == 0 {
-					line = phys[i-1] &^ (mem.WordSize - 1) // repeat the previous line
-				}
-				phys[i] = line + mem.PhysAddr(rng.Intn(int(mem.WordSize)))
-				if rng.Intn(4) == 0 {
-					writes[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-
-			levels := make([]HitLevel, n)
-			nwb := make([]int, n)
-			var wantWB []mem.PhysAddr
-			for i, a := range phys {
-				res := seq.Access(a, writes[i>>6]&(1<<(uint(i)&63)) != 0)
-				levels[i] = res.Level
-				nwb[i] = len(res.Writeback)
-				wantWB = append(wantWB, res.Writeback...)
-			}
-
-			// Feed the batch kernel in uneven chunks, as the functional
-			// loop does at stream and window boundaries. Each chunk gets
-			// its own chunk-relative write bitset.
-			class := make([]AccessClass, n)
-			var gotWB []mem.PhysAddr
-			for s := 0; s < n; {
-				m := min(1+rng.Intn(2048), n-s)
-				w := make([]uint64, (m+63)/64)
-				for j := 0; j < m; j++ {
-					if writes[(s+j)>>6]&(1<<(uint(s+j)&63)) != 0 {
-						w[j>>6] |= 1 << (uint(j) & 63)
-					}
-				}
-				gotWB = batched.AccessBatch(phys[s:s+m], w, class[s:s+m], gotWB)
-				s += m
-			}
-
-			for i := range phys {
-				if class[i].Level() != levels[i] || class[i].Writebacks() != nwb[i] {
-					t.Fatalf("access %d (%#x): batch %v/%d writebacks, sequential %v/%d",
-						i, phys[i], class[i].Level(), class[i].Writebacks(), levels[i], nwb[i])
-				}
-			}
-			if !reflect.DeepEqual(gotWB, wantWB) {
-				t.Errorf("writeback streams differ: batch %d lines, sequential %d", len(gotWB), len(wantWB))
-			}
-			if len(wantWB) == 0 {
-				t.Error("stream produced no writebacks; the test exercises too little")
-			}
-			type counters struct {
-				accesses, reads, writes uint64
-				hits, misses            [3]uint64
-			}
-			count := func(h *Hierarchy) counters {
-				c := counters{accesses: h.Accesses(), reads: h.DRAMReads(), writes: h.DRAMWrites()}
-				for k, l := range []*Level{h.L1(), h.L2(), h.LLC()} {
-					c.hits[k], c.misses[k] = l.Hits(), l.Misses()
-				}
-				return c
-			}
-			if got, want := count(batched), count(seq); got != want {
-				t.Errorf("counters differ:\n batch      %+v\n sequential %+v", got, want)
-			}
-			if !reflect.DeepEqual(batched.Snapshot(), seq.Snapshot()) {
-				t.Error("tag/LRU state differs after the batch")
-			}
-			if !reflect.DeepEqual(batchReg.Snapshot(), seqReg.Snapshot()) {
-				t.Error("obs counters differ after the batch")
-			}
-		})
 	}
 }

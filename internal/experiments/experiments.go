@@ -90,7 +90,7 @@ func (p Params) newGenerator(bench string) (workload.Generator, error) {
 // config. Every harness routes its sim.Config through this so -sample
 // reaches every cell. The tier is statistical (see Params.Sample).
 //
-//m5:plumb sim.SamplingConfig ignore=FunctionalThin,WarmPrefix
+//m5:plumb sim.SamplingConfig
 func (p Params) applySpeed(cfg *sim.Config) {
 	if p.Sample {
 		cfg.Sampling = sim.SamplingConfig{

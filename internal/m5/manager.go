@@ -1,6 +1,9 @@
 package m5
 
 import (
+	"cmp"
+	"slices"
+
 	"m5/internal/cxl"
 	"m5/internal/mem"
 	"m5/internal/obs"
@@ -196,17 +199,19 @@ type HotHugePage struct {
 	DensePages int
 }
 
-// Top returns the k hottest huge pages, hottest first.
+// Top returns the k hottest huge pages, hottest first; equal counts rank
+// by huge page number, so the result never depends on map order.
 func (a *HugePageAggregator) Top(k int) []HotHugePage {
 	out := make([]HotHugePage, 0, len(a.counts))
 	for h, c := range a.counts {
 		out = append(out, HotHugePage{HugePFN: h, Count: c, DensePages: len(a.mask[h])})
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Count > out[j-1].Count; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	slices.SortFunc(out, func(x, y HotHugePage) int {
+		if c := cmp.Compare(y.Count, x.Count); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(x.HugePFN, y.HugePFN)
+	})
 	if k < len(out) {
 		out = out[:k]
 	}

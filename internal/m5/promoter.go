@@ -63,6 +63,10 @@ func (p *Promoter) Promote(pages []HotPage) int {
 		return true
 	})
 	ordered := make([]tiermem.VPN, 0, len(pages))
+	// Huge units are promoted in first-seen order: promotion order decides
+	// which pages MGLRU demotes to make room, so it must not follow map
+	// iteration order.
+	var heads []tiermem.VPN
 	hugeHits := make(map[tiermem.VPN]int)
 	for i := range batch {
 		if status[i] != resolved {
@@ -71,6 +75,9 @@ func (p *Promoter) Promote(pages []HotPage) int {
 		}
 		if p.HugeDenseMin > 0 {
 			if head, ok := p.sys.HugeHeadOf(batch[i]); ok {
+				if hugeHits[head] == 0 {
+					heads = append(heads, head)
+				}
 				hugeHits[head]++
 				continue
 			}
@@ -78,8 +85,8 @@ func (p *Promoter) Promote(pages []HotPage) int {
 		ordered = append(ordered, batch[i])
 	}
 	n := p.sys.PromoteBatch(ordered)
-	for head, hits := range hugeHits {
-		if hits < p.HugeDenseMin {
+	for _, head := range heads {
+		if hugeHits[head] < p.HugeDenseMin {
 			continue
 		}
 		if err := p.sys.PromoteHuge(head); err == nil {

@@ -7,6 +7,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,7 +27,9 @@ func Workers(n int) int {
 // them. Work is handed out via an atomic counter (work-stealing, no
 // per-cell channel traffic). If any f returns an error, dispatch stops
 // and Map reports the error from the lowest failing index, so the
-// reported failure is deterministic too.
+// reported failure is deterministic too. A cell that panics fails with
+// an error instead, so one bad cell cannot take down the process (an
+// m5serve together with its warmed checkpoint tree).
 func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -39,7 +42,7 @@ func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 	if workers <= 1 {
 		// Serial fast path: no goroutines, no atomics.
 		for i := 0; i < n; i++ {
-			v, err := f(i)
+			v, err := call(f, i)
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +67,7 @@ func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 				if i >= n || int64(i) > failIdx.Load() {
 					return
 				}
-				v, err := f(i)
+				v, err := call(f, i)
 				if err != nil {
 					mu.Lock()
 					if int64(i) < failIdx.Load() {
@@ -83,6 +86,16 @@ func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 		return nil, firstE
 	}
 	return out, nil
+}
+
+// call runs one cell, turning a panic into that cell's error.
+func call[T any](f func(i int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("parallel: cell %d panicked: %v", i, p)
+		}
+	}()
+	return f(i)
 }
 
 // DeriveSeed folds a cell identity (benchmark name, policy, sweep

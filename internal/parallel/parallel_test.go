@@ -50,6 +50,39 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapContainsPanics pins that a panicking cell fails Map with an
+// error instead of crashing, serially and on a worker pool, and that the
+// lowest failing index still decides which failure is reported.
+func TestMapContainsPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := Map(workers, 100, func(i int) (int, error) {
+			switch i {
+			case 31:
+				panic("bad cell")
+			case 64:
+				return 0, errors.New("cell 64")
+			}
+			return i, nil
+		})
+		if want := "parallel: cell 31 panicked: bad cell"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err=%v, want %q", workers, err, want)
+		}
+		_, err = Map(workers, 100, func(i int) (int, error) {
+			switch i {
+			case 12:
+				return 0, errors.New("cell 12")
+			case 40:
+				var m map[int]int
+				m[i] = i // nil-map write: a runtime panic
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "cell 12" {
+			t.Errorf("workers=%d: err=%v, want cell 12", workers, err)
+		}
+	}
+}
+
 func TestMapStopsDispatchAfterError(t *testing.T) {
 	// All cells past the failing one that were not already dispatched
 	// must be skipped; we can't assert an exact count (in-flight cells

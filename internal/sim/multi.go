@@ -8,7 +8,6 @@ import (
 	"m5/internal/obs"
 	"m5/internal/stats"
 	"m5/internal/tiermem"
-	"m5/internal/trace"
 	"m5/internal/tracker"
 	"m5/internal/workload"
 )
@@ -78,6 +77,8 @@ func newChannel(bandwidthGBs float64, metrics *obs.Registry) channel {
 // serve returns the extra queueing delay in whole ns for an access issued
 // at now (ns) and advances the channel clock, retaining picosecond
 // precision internally.
+//
+//m5:hotpath
 func (c *channel) serve(now uint64) uint64 {
 	nowPs := now * 1000
 	var delayPs uint64
@@ -98,17 +99,13 @@ func (c *channel) serve(now uint64) uint64 {
 	return delayPs / 1000
 }
 
-// core is one instance's private state.
-type core struct {
-	id      int
-	gen     workload.Generator
-	cache   *cache.Hierarchy
-	clockNs uint64
-	opStart uint64
-	opLat   *stats.Reservoir
-	done    bool
-
+// instance is one benchmark copy: its core plus its access stream.
+type instance struct {
+	core
+	gen      workload.Generator
+	done     bool
 	accesses uint64
+	target   uint64 // accesses at which the current Run stops this core
 }
 
 // MultiRunner drives N cores over one tiered-memory system in causal
@@ -116,18 +113,9 @@ type core struct {
 // state (page tables, trackers, bandwidth channels, the daemon) is always
 // touched in global time order.
 type MultiRunner struct {
-	Sys   *tiermem.System
-	Ctrl  *cxl.Controller
-	cores []*core
-
-	daemon   Daemon
-	nextTick uint64
-	channels [2]channel
-	costs    tiermem.CostModel
-	metrics  *obs.Registry
-
-	dramReads  [2]uint64
-	dramWrites [2]uint64
+	machine
+	cores   []*instance
+	metrics *obs.Registry
 }
 
 // NewMultiRunner builds the machine. Instance footprints are allocated
@@ -168,32 +156,35 @@ func NewMultiRunner(cfg MultiConfig) (*MultiRunner, error) {
 		Costs:         cfg.Costs,
 		Metrics:       cfg.Metrics.Scope("mem"),
 	})
-	m := &MultiRunner{
-		Sys:     sys,
-		costs:   cfg.Costs,
-		metrics: cfg.Metrics,
+	m := &MultiRunner{machine: newMachine(sys, nil, cfg.Costs), metrics: cfg.Metrics}
+	m.chans = &[2]channel{
+		tiermem.NodeDDR: newChannel(cfg.DDRBandwidthGBs, cfg.Metrics.Scope("chan.ddr")),
+		tiermem.NodeCXL: newChannel(cfg.CXLBandwidthGBs, cfg.Metrics.Scope("chan.cxl")),
 	}
-	m.channels[tiermem.NodeDDR] = newChannel(cfg.DDRBandwidthGBs, cfg.Metrics.Scope("chan.ddr"))
-	m.channels[tiermem.NodeCXL] = newChannel(cfg.CXLBandwidthGBs, cfg.Metrics.Scope("chan.cxl"))
 
 	// Every core's private hierarchy folds into one shared "cache" scope:
 	// the causal-order scheduler touches them one at a time, so the shared
 	// counters stay deterministic.
 	cacheScope := cfg.Metrics.Scope("cache")
 	for i, gen := range gens {
-		if _, err := sys.Alloc(int((gen.Footprint()+4095)/4096), tiermem.NodeCXL); err != nil {
+		// Arenas are allocated back to back: instance i's pages start
+		// after instances 0..i-1.
+		base, err := sys.Alloc(int((gen.Footprint()+4095)/4096), tiermem.NodeCXL)
+		if err != nil {
 			return nil, fmt.Errorf("sim: allocating instance %d arena: %w", i, err)
 		}
 		cacheCfg := NewScaledCache(gen.Footprint())
 		cacheCfg.Metrics = cacheScope
-		m.cores = append(m.cores, &core{
-			id:    i,
-			gen:   gen,
-			cache: cache.NewHierarchy(cacheCfg),
-			opLat: stats.NewReservoir(1<<13, 23),
+		m.cores = append(m.cores, &instance{
+			core: core{
+				cache: cache.NewHierarchy(cacheCfg),
+				base:  base.Addr(),
+				opLat: stats.NewReservoir(1<<13, 23),
+				tlb:   i,
+			},
+			gen: gen,
 		})
 	}
-	// Arena bases: instance i's pages start after instances 0..i-1.
 	m.Ctrl = cxl.NewController(cxl.ControllerConfig{
 		Span:      sys.CXLSpan(),
 		EnablePAC: cfg.EnablePAC,
@@ -202,15 +193,6 @@ func NewMultiRunner(cfg MultiConfig) (*MultiRunner, error) {
 		Metrics:   cfg.Metrics.Scope("cxl"),
 	})
 	return m, nil
-}
-
-// base returns instance i's first VPN.
-func (m *MultiRunner) base(i int) tiermem.VPN {
-	var v tiermem.VPN
-	for j := 0; j < i; j++ {
-		v += tiermem.VPN((m.cores[j].gen.Footprint() + 4095) / 4096)
-	}
-	return v
 }
 
 // SetDaemon installs the shared migration daemon. Its ticks are charged to
@@ -224,8 +206,8 @@ func (m *MultiRunner) SetDaemon(d Daemon) {
 }
 
 // next returns the runnable core with the smallest clock, or nil.
-func (m *MultiRunner) next() *core {
-	var pick *core
+func (m *MultiRunner) next() *instance {
+	var pick *instance
 	for _, c := range m.cores {
 		if c.done {
 			continue
@@ -237,8 +219,9 @@ func (m *MultiRunner) next() *core {
 	return pick
 }
 
-// step advances one core by one access.
-func (m *MultiRunner) step(c *core) {
+// step advances one core by one access. The daemon shares core 0; cores
+// take no context-switch flushes.
+func (m *MultiRunner) step(c *instance) {
 	a, ok := c.gen.Next()
 	if !ok {
 		c.done = true
@@ -246,49 +229,12 @@ func (m *MultiRunner) step(c *core) {
 	}
 	c.accesses++
 	kernelBefore := m.Sys.KernelNs()
-	va := m.base(c.id).Addr() + tiermem.VirtAddr(a.Offset)
-	var tr tiermem.TranslateResult
-	m.Sys.TranslateInto(c.id, va, a.Write, &tr)
-	c.clockNs += tr.ExtraNs
-
-	res := c.cache.Access(tr.Phys, a.Write)
-	switch res.Level {
-	case cache.HitL1:
-		c.clockNs += m.costs.L1HitNs
-	case cache.HitL2:
-		c.clockNs += m.costs.L2HitNs
-	case cache.HitLLC:
-		c.clockNs += m.costs.LLCHitNs
-	case cache.HitMemory:
-		node := m.Sys.CountDRAMAccess(tr.Phys, false)
-		m.dramReads[node]++
-		c.clockNs += m.channels[node].serve(c.clockNs)
-		if node == tiermem.NodeCXL {
-			c.clockNs += m.costs.CXLReadNs
-			m.Ctrl.Device.Access(trace.Access{Time: c.clockNs, Addr: tr.Phys, Write: a.Write}) //m5:unitcredit exact engine: one access, weight 1
-		} else {
-			c.clockNs += m.costs.DDRReadNs
-		}
-	}
-	for _, wb := range res.Writeback {
-		node := m.Sys.CountDRAMAccess(wb, true)
-		m.dramWrites[node]++
-		c.clockNs += m.costs.DRAMWriteNs
-		m.channels[node].serve(c.clockNs)
-		if node == tiermem.NodeCXL {
-			m.Ctrl.Device.Access(trace.Access{Time: c.clockNs, Addr: wb, Write: true}) //m5:unitcredit exact engine: one access, weight 1
-		}
-	}
-
+	m.service(&c.core, m.translate(&c.core, a.Offset, a.Write).Phys, a.Write, 1, false)
 	if a.OpEnd {
-		c.opLat.Add(float64(c.clockNs - c.opStart))
-		c.opStart = c.clockNs
+		c.endOp()
 	}
-
-	// The daemon shares core 0.
-	if m.daemon != nil && c.id == 0 && c.clockNs >= m.nextTick {
-		m.daemon.Tick(c.clockNs)
-		m.nextTick = c.clockNs + m.daemon.PeriodNs()
+	if c.tlb == 0 {
+		m.tick(c.clockNs)
 	}
 	c.clockNs += m.Sys.KernelNs() - kernelBefore
 }
@@ -302,16 +248,15 @@ func (m *MultiRunner) Run(nPerCore int) MultiResult {
 		c.opLat.Reset()
 	}
 	startKernel := m.Sys.KernelNs()
-	target := make([]uint64, len(m.cores))
-	for i, c := range m.cores {
-		target[i] = c.accesses + uint64(nPerCore)
+	for _, c := range m.cores {
+		c.target = c.accesses + uint64(nPerCore)
 	}
 	for {
 		c := m.next()
 		if c == nil {
 			break
 		}
-		if c.accesses >= target[c.id] {
+		if c.accesses >= c.target {
 			c.done = true
 			continue
 		}

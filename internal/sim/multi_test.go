@@ -58,7 +58,7 @@ func TestMultiArenasAreDisjoint(t *testing.T) {
 	// Bases must be strictly increasing by footprint.
 	prevEnd := tiermem.VPN(0)
 	for i := 0; i < 3; i++ {
-		b := m.base(i)
+		b := m.cores[i].base.Page()
 		if b != prevEnd {
 			t.Errorf("instance %d base = %d, want %d", i, b, prevEnd)
 		}
@@ -156,6 +156,24 @@ func TestMultiMatchesSingleAtOneInstance(t *testing.T) {
 	sTot := sres.DRAMReads[0] + sres.DRAMReads[1]
 	if mTot != sTot {
 		t.Errorf("DRAM reads differ: %d vs %d", mTot, sTot)
+	}
+}
+
+// TestMultiStepZeroAllocs pins the multi-core step at zero allocations
+// once the machine is warm: the shared service step, the bandwidth
+// channels and every layer below run on preallocated state.
+func TestMultiStepZeroAllocs(t *testing.T) {
+	m := newMulti(t, "roms", 2, MultiConfig{
+		HPT: &tracker.Config{Algorithm: tracker.SpaceSaving, Entries: 128, K: 5},
+	})
+	m.Run(100_000) // fault in the arenas and reach steady state
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 1000; i++ {
+			m.step(m.next())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("1000 multi-core steps allocate %.1f times, want 0", allocs)
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // Functional stretches keep every piece of architectural state evolving
 // exactly as exact mode would — TLB fills and shootdowns, page-table
-// accessed/dirty bits, cache tag/LRU state via the batched classify
-// kernel, tier residency counters, CXL device snoops (so PAC/WAC and the
+// accessed/dirty bits, cache tag/LRU state through the shared service
+// step, tier residency counters, CXL device snoops (so PAC/WAC and the
 // HPT/HWT trackers keep counting), miss-sink observes — but skip the
 // per-access clock arithmetic: the simulated clock advances once per
 // batch at the current estimate of mean ns/access, so daemon ticks and
@@ -38,11 +38,9 @@ import (
 	"fmt"
 	"math"
 
-	"m5/internal/cache"
 	"m5/internal/mem"
 	"m5/internal/stats"
 	"m5/internal/tiermem"
-	"m5/internal/trace"
 	"m5/internal/workload"
 )
 
@@ -60,15 +58,17 @@ const (
 const (
 	defaultDetailedWindow   = 4096
 	defaultFunctionalStride = 45056
-	// defaultFunctionalThin simulates 1 in N batches of the thinned
-	// stretches at full architectural fidelity (crediting its DRAM/tracker
-	// traffic for the N-1 skipped neighbours); the rest only advance the
-	// stream and the coarse clock.
-	defaultFunctionalThin = 8
-	// defaultWarmPrefix is how many accesses before each detailed window
-	// run at full functional fidelity (no thinning), so the window opens
-	// on freshly-warmed cache and TLB state.
-	defaultWarmPrefix = 4096
+	// functionalThin simulates 1 in N batches of the thinned stretches at
+	// full architectural fidelity, crediting its DRAM and tracker traffic
+	// once per skipped neighbour (a Horvitz-Thompson estimate, so traffic
+	// counters stay unbiased); the rest only advance the stream and the
+	// coarse clock.
+	functionalThin = 8
+	// warmPrefix is how many accesses before each detailed window run at
+	// full functional fidelity (no thinning), so the window opens on
+	// freshly-warmed cache and TLB state. A stride shorter than this runs
+	// unthinned.
+	warmPrefix = 4096
 	// sampleMinWindows is the floor on measured windows before a TargetCI
 	// early stop may trigger: t-intervals over fewer samples are too
 	// fragile to act on.
@@ -95,18 +95,6 @@ type SamplingConfig struct {
 	// half-width falls below TargetCI × mean, the rest of the span runs
 	// purely functional. Zero measures every scheduled window.
 	TargetCI float64
-	// FunctionalThin subsamples the functional stretches at batch
-	// granularity: 1 in FunctionalThin batches runs the full functional
-	// kernel (translation, cache, device snoops) with its DRAM and tracker
-	// traffic credited once per skipped neighbour (a Horvitz-Thompson
-	// estimate, so traffic counters stay unbiased); the other batches only
-	// advance the stream and the coarse clock. 1 disables thinning;
-	// default 8.
-	FunctionalThin int
-	// WarmPrefix is how many accesses immediately before each detailed
-	// window run at full functional fidelity regardless of thinning, so
-	// windows measure against freshly-warmed cache/TLB state. Default 4096.
-	WarmPrefix int
 	// Seed perturbs the first-window offset (systematic-sampling phase).
 	// Window placement is a pure function of (Seed, config, stream
 	// position); no RNG state is involved.
@@ -129,17 +117,6 @@ func (s SamplingConfig) withDefaults() SamplingConfig {
 	if s.FunctionalStride == 0 {
 		s.FunctionalStride = defaultFunctionalStride
 	}
-	if s.FunctionalThin == 0 {
-		s.FunctionalThin = defaultFunctionalThin
-	}
-	if s.WarmPrefix == 0 {
-		s.WarmPrefix = defaultWarmPrefix
-	}
-	if s.WarmPrefix > s.FunctionalStride {
-		// A warm prefix longer than the stretch itself just means the
-		// whole stretch runs unthinned.
-		s.WarmPrefix = s.FunctionalStride
-	}
 	return s
 }
 
@@ -154,9 +131,6 @@ func (s SamplingConfig) validate() error {
 	}
 	if s.DetailedWindow < 0 || s.FunctionalStride < 0 {
 		return fmt.Errorf("sim: sampling window %d / stride %d must be non-negative", s.DetailedWindow, s.FunctionalStride)
-	}
-	if s.FunctionalThin < 0 || s.WarmPrefix < 0 {
-		return fmt.Errorf("sim: sampling thin %d / warm prefix %d must be non-negative", s.FunctionalThin, s.WarmPrefix)
 	}
 	if s.TargetCI < 0 || s.TargetCI >= 1 {
 		return fmt.Errorf("sim: sampling target CI %v must be in [0, 1)", s.TargetCI)
@@ -220,12 +194,8 @@ type sampleState struct {
 // once for the runner batch so the per-batch paths never allocate.
 type functionalState struct {
 	cols workload.Columns
-	// phys holds the batch's translated physical addresses; class and wb
-	// receive the cache classify kernel's per-access outcomes and its
-	// ordered writeback stream.
-	phys  []mem.PhysAddr
-	class []cache.AccessClass
-	wb    []mem.PhysAddr
+	// phys holds the batch's translated physical addresses.
+	phys []mem.PhysAddr
 	// memoVPN/memoBase mirror the TLB memo: the page and frame base of
 	// the most recent full translation. Trustworthy only when
 	// TLB.RepeatHit(memoVPN) succeeds — every frame change shoots down
@@ -238,11 +208,7 @@ type functionalState struct {
 // functionalInit builds the functional kernel's scratch and the runner's
 // batch buffer (once per runner).
 func (r *Runner) functionalInit() *functionalState {
-	fn := &functionalState{
-		phys:  make([]mem.PhysAddr, runnerBatch),
-		class: make([]cache.AccessClass, runnerBatch),
-		wb:    make([]mem.PhysAddr, 0, 64),
-	}
+	fn := &functionalState{phys: make([]mem.PhysAddr, runnerBatch)}
 	fn.cols.Grow(runnerBatch)
 	if r.batch == nil {
 		r.batch = make([]workload.Access, runnerBatch)
@@ -303,7 +269,7 @@ func (r *Runner) runSampled(n int) Result {
 	} else {
 		pos := 0
 		next := int(sampleOffset(r.cfg.Sampling.Seed, span.accesses) % uint64(period))
-		warm := r.cfg.Sampling.WarmPrefix
+		warm := min(warmPrefix, r.cfg.Sampling.FunctionalStride)
 		for pos < n {
 			if st.ciDone || pos < next {
 				target := n
@@ -450,22 +416,18 @@ func (r *Runner) runFunctionalSpan(k int) int {
 }
 
 // runThinnedSpan drives a batch-thinned functional stretch: 1 in
-// Sampling.FunctionalThin batches runs the full functional kernel, with
+// functionalThin batches runs the full functional kernel, with
 // its DRAM and tracker traffic credited once per skipped neighbour
 // (Horvitz-Thompson, so traffic counters stay unbiased in expectation);
 // the others advance the stream and coarse clock only. The skip debt
 // (smp.owed) persists across spans of one Run so boundary batches still
 // get credited.
 func (r *Runner) runThinnedSpan(k int) int {
-	thin := r.cfg.Sampling.FunctionalThin
-	if thin <= 1 {
-		return r.runFunctionalSpan(k)
-	}
 	st := &r.smp
 	ran := 0
 	for ran < k {
 		var did int
-		if st.owed >= thin-1 {
+		if st.owed >= functionalThin-1 {
 			did = r.stepFunctional(k-ran, 1+st.owed)
 			if did > 0 {
 				st.owed = 0
@@ -508,34 +470,38 @@ func (r *Runner) stepSkip(max int) int {
 	if n == 0 {
 		return 0
 	}
-	kernelBefore := r.Sys.KernelNs()
+	r.coarseAdvance(n, r.Sys.KernelNs(), ops)
+	return n
+}
+
+// coarseAdvance closes a functional or skipped batch of n accesses: the
+// clock advances once at the estimated mean user-side rate (window means
+// exclude kernel time), the context-switch flush and daemon tick fire on
+// that clock, and all kernel time since kernelBefore (faults during
+// translation, sink observes, the tick) stalls the core exactly as in
+// exact mode. ops resyncs the op origin: op latencies are measured inside
+// detailed windows only, so a window's first completed op is not charged
+// for the stretch before it.
+//
+//m5:hotpath
+func (r *Runner) coarseAdvance(n int, kernelBefore uint64, ops bool) {
 	r.accesses += uint64(n)
 	r.clockNs += uint64(float64(n) * r.smp.est)
-	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
-		r.Sys.TLB(0).Flush()
-		r.nextCtx = r.clockNs + r.ctxNs
-	}
-	if r.daemon != nil && r.clockNs >= r.nextTick {
-		tickKernelBefore := r.Sys.KernelNs()
-		r.daemon.Tick(r.clockNs)
-		r.nextTick = r.clockNs + r.daemon.PeriodNs()
-		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
-	}
-	// Tick kernel time still stalls the core.
+	r.ctxSwitch()
+	r.tick(r.clockNs)
 	r.clockNs += r.Sys.KernelNs() - kernelBefore
 	if ops {
 		r.opStart = r.clockNs
 	}
-	return n
 }
 
 // stepFunctional executes up to one batch of accesses at functional
-// fidelity: translation (with the TLB memo short-circuit), the cache
-// classify kernel, tier residency and bandwidth counters, device snoops
-// and sink observes all run exactly as the detailed path would — but no
-// per-access clock arithmetic. The clock advances once per batch at the
-// current mean-latency estimate, keeping daemon ticks and context-switch
-// flushes on their simulated-time cadence.
+// fidelity: translation (with the TLB memo short-circuit), then the shared
+// service step — cache, tier residency and bandwidth counters, device
+// snoops and sink observes exactly as the detailed path runs them — with
+// the clock frozen at the batch start. The clock then advances once per
+// batch at the current mean-latency estimate, keeping daemon ticks and
+// context-switch flushes on their simulated-time cadence.
 //
 // weight > 1 means this batch also stands in for weight-1 thinned-away
 // neighbour batches (runThinnedSpan): every DRAM read/write, device snoop,
@@ -564,7 +530,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 	// latency is estimated.
 	kernelBefore := r.Sys.KernelNs()
 	var (
-		base = r.base.Addr()
+		base = r.base
 		tlb  = r.Sys.TLB(0)
 		tr   tiermem.TranslateResult
 	)
@@ -582,82 +548,11 @@ func (r *Runner) stepFunctional(max, weight int) int {
 			fn.memoOK = true
 		}
 	}
-	// The batch spans the whole columnar pull, so the batch-relative
-	// write bitset is the columns' own.
-	wbs := r.Cache.AccessBatch(fn.phys[:n], fn.cols.Writes, fn.class[:n], fn.wb[:0])
-	fn.wb = wbs[:0]
-	var (
-		hasSinks = len(r.sinks) > 0
-		remap    = r.remap
-		scratch  trace.Access
-		wbPos    = 0
-		now      = r.clockNs
-		uw       = uint64(weight)
-	)
-	for j := 0; j < n; j++ {
-		c := fn.class[j]
-		if c == 0 {
-			continue // pure L1 hit: no DRAM traffic to account
-		}
-		if c.Level() == cache.HitMemory {
-			phys := fn.phys[j]
-			node := r.Sys.NodeOfAddr(phys)
-			if remap != nil {
-				node, _ = remap.Serve(phys.Word(), node)
-			}
-			r.Sys.Node(node).CountReads(uw)
-			r.dramReads[node] += uw
-			if node == tiermem.NodeCXL || hasSinks {
-				write := fn.cols.Writes[uint(j)>>6]&(1<<(uint(j)&63)) != 0
-				scratch = trace.Access{Time: now, Addr: phys, Write: write}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.AccessN(scratch, uw)
-				}
-				if hasSinks {
-					r.sinks.ObserveN(scratch, uw)
-				}
-			}
-		}
-		for k := c.Writebacks(); k > 0; k-- {
-			wb := wbs[wbPos]
-			wbPos++
-			node := r.Sys.CountDRAMAccess(wb, true)
-			r.Sys.Node(node).CountWrites(uw - 1)
-			r.dramWrites[node] += uw
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: now, Addr: wb, Write: true}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.AccessN(scratch, uw)
-				}
-				if hasSinks {
-					r.sinks.ObserveN(scratch, uw)
-				}
-			}
-		}
+	uw := uint64(weight)
+	for i := 0; i < n; i++ {
+		write := fn.cols.Writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
+		r.service(&r.core, fn.phys[i], write, uw, true)
 	}
-	r.accesses += uint64(n)
-	// Coarse clock: one advance per batch at the estimated mean
-	// user-side rate (window means exclude kernel time, added exactly
-	// below).
-	r.clockNs += uint64(float64(n) * r.smp.est)
-	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
-		r.Sys.TLB(0).Flush()
-		r.nextCtx = r.clockNs + r.ctxNs
-	}
-	if r.daemon != nil && r.clockNs >= r.nextTick {
-		tickKernelBefore := r.Sys.KernelNs()
-		r.daemon.Tick(r.clockNs)
-		r.nextTick = r.clockNs + r.daemon.PeriodNs()
-		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
-	}
-	// All kernel time the batch triggered (faults during translation,
-	// sink observes, the tick) stalls the core, exactly as in exact mode.
-	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	if len(fn.cols.OpEnds) > 0 {
-		// Op latencies are measured inside detailed windows only; resync
-		// the op origin so a window's first completed op is not charged
-		// for the functional stretch before it.
-		r.opStart = r.clockNs
-	}
+	r.coarseAdvance(n, kernelBefore, len(fn.cols.OpEnds) > 0)
 	return n
 }

@@ -8,6 +8,7 @@ import (
 
 	m5mgr "m5/internal/m5"
 	"m5/internal/obs"
+	"m5/internal/tiermem"
 	"m5/internal/tracker"
 	"m5/internal/workload"
 )
@@ -246,6 +247,133 @@ func TestSampledObsCounters(t *testing.T) {
 		if strings.HasPrefix(name, "sample.") {
 			t.Errorf("exact-mode snapshot leaked %s", name)
 		}
+	}
+}
+
+// TestFunctionalMatchesExactAtWeightOne pins the shared service step
+// across its two clock modes: a weight-1 functional pass (TLB memo,
+// frozen clock, weighted credit calls) must leave the machine exactly as
+// StepBatch leaves it on the same stream — cache tags and LRU, TLB and
+// page table, node, device, PAC and tracker counters, the miss-sink
+// stream and the runner's DRAM counts. Only the clock may differ. No
+// daemon runs and context switches never fire, since both are scheduled
+// off the clock.
+func TestFunctionalMatchesExactAtWeightOne(t *testing.T) {
+	for _, bench := range []string{"roms", "redis"} {
+		t.Run(bench, func(t *testing.T) {
+			build := func() (*Runner, *countingSink) {
+				r := newRunner(t, bench, Config{
+					EnablePAC:         true,
+					HPT:               &tracker.Config{Algorithm: tracker.SpaceSaving, Entries: 128, K: 5},
+					CtxSwitchPeriodNs: 1 << 62,
+				})
+				sink := &countingSink{}
+				r.AttachMissSink(sink)
+				return r, sink
+			}
+			const n = 200_000
+			exact, eSink := build()
+			functional, fSink := build()
+			if got := exact.runExactSpan(n); got != n {
+				t.Fatalf("exact span ran %d accesses", got)
+			}
+			functional.smp.est = functional.samplePriorNs()
+			if got := functional.runFunctionalSpan(n); got != n {
+				t.Fatalf("functional span ran %d accesses", got)
+			}
+			if eSink.n == 0 || exact.dramWrites == [2]uint64{} {
+				t.Fatal("stream produced no DRAM reads or writebacks; the test exercises too little")
+			}
+			if !reflect.DeepEqual(functional.Cache.Snapshot(), exact.Cache.Snapshot()) {
+				t.Error("cache state differs")
+			}
+			if !reflect.DeepEqual(functional.Sys.Snapshot(), exact.Sys.Snapshot()) {
+				t.Error("memory system state (TLB, page table, nodes, kernel time) differs")
+			}
+			if !reflect.DeepEqual(functional.Ctrl.Snapshot(), exact.Ctrl.Snapshot()) {
+				t.Error("CXL controller state (device, PAC, tracker) differs")
+			}
+			if functional.dramReads != exact.dramReads || functional.dramWrites != exact.dramWrites {
+				t.Errorf("DRAM counts: functional %v/%v, exact %v/%v",
+					functional.dramReads, functional.dramWrites, exact.dramReads, exact.dramWrites)
+			}
+			if fSink.n != eSink.n || fSink.last.Addr != eSink.last.Addr || fSink.last.Write != eSink.last.Write {
+				t.Errorf("miss sinks: functional %d ending %+v, exact %d ending %+v", fSink.n, fSink.last, eSink.n, eSink.last)
+			}
+			if functional.accesses != exact.accesses {
+				t.Errorf("accesses: functional %d, exact %d", functional.accesses, exact.accesses)
+			}
+		})
+	}
+}
+
+// TestFunctionalWeightScalesCredit pins the Horvitz-Thompson side of the
+// service step: a functional batch at weight k credits every DRAM read
+// and writeback k times — to the runner, the nodes, the CXL device, the
+// PAC and the miss sinks — while the cache makes its state transitions
+// once, exactly as at weight 1. The traffic is stamped with the frozen
+// batch-start clock.
+func TestFunctionalWeightScalesCredit(t *testing.T) {
+	type credit struct {
+		reads, writes         [2]uint64
+		nodeReads, nodeWrites [2]uint64
+		devReads, devWrites   uint64
+		pac, sink             uint64
+	}
+	const k = 3
+	var deltas [2]credit
+	var caches [2]any
+	for i, weight := range []int{1, k} {
+		r := newRunner(t, "redis", Config{EnablePAC: true, CtxSwitchPeriodNs: 1 << 62})
+		sink := &countingSink{}
+		r.AttachMissSink(sink)
+		r.smp.est = r.samplePriorNs()
+		if r.runFunctionalSpan(50_000) != 50_000 {
+			t.Fatal("warm-up span fell short")
+		}
+		read := func() credit {
+			c := credit{reads: r.dramReads, writes: r.dramWrites, devReads: r.Ctrl.Device.Reads(),
+				devWrites: r.Ctrl.Device.Writes(), pac: r.Ctrl.PAC.Total(), sink: sink.n}
+			for n := range c.nodeReads {
+				c.nodeReads[n] = r.Sys.Node(tiermem.NodeID(n)).Reads()
+				c.nodeWrites[n] = r.Sys.Node(tiermem.NodeID(n)).Writes()
+			}
+			return c
+		}
+		before := read()
+		for left := 20 * runnerBatch; left > 0; {
+			start, seen := r.clockNs, sink.n
+			left -= r.stepFunctional(left, weight)
+			if sink.n != seen && sink.last.Time != start {
+				t.Fatalf("functional traffic stamped %d, want the batch start %d", sink.last.Time, start)
+			}
+		}
+		after := read()
+		d := &deltas[i]
+		for n := 0; n < 2; n++ {
+			d.reads[n] = after.reads[n] - before.reads[n]
+			d.writes[n] = after.writes[n] - before.writes[n]
+			d.nodeReads[n] = after.nodeReads[n] - before.nodeReads[n]
+			d.nodeWrites[n] = after.nodeWrites[n] - before.nodeWrites[n]
+		}
+		d.devReads, d.devWrites = after.devReads-before.devReads, after.devWrites-before.devWrites
+		d.pac, d.sink = after.pac-before.pac, after.sink-before.sink
+		caches[i] = r.Cache.Snapshot()
+	}
+	one, got := deltas[0], deltas[1]
+	if one.devReads == 0 || one.devWrites == 0 || one.writes[tiermem.NodeCXL] == 0 {
+		t.Fatalf("weight-1 batches credited too little to test: %+v", one)
+	}
+	want := credit{devReads: k * one.devReads, devWrites: k * one.devWrites, pac: k * one.pac, sink: k * one.sink}
+	for n := 0; n < 2; n++ {
+		want.reads[n], want.writes[n] = k*one.reads[n], k*one.writes[n]
+		want.nodeReads[n], want.nodeWrites[n] = k*one.nodeReads[n], k*one.nodeWrites[n]
+	}
+	if got != want {
+		t.Errorf("weight-%d credit:\n got  %+v\n want %+v", k, got, want)
+	}
+	if !reflect.DeepEqual(caches[0], caches[1]) {
+		t.Error("cache state depends on the credit weight")
 	}
 }
 

@@ -96,26 +96,16 @@ type Config struct {
 	Sampling SamplingConfig
 }
 
-// Runner is one assembled experiment instance.
+// Runner is one assembled experiment instance: a machine with one core.
 type Runner struct {
-	Sys   *tiermem.System
-	Ctrl  *cxl.Controller
+	machine
+	core
+	// Cache is the core's cache hierarchy, exported for callers that
+	// drive or inspect the layers directly.
 	Cache *cache.Hierarchy
 
-	cfg      Config // retained (with defaults applied) so checkpoints can rebuild the machine
-	gen      workload.Generator
-	base     tiermem.VPN
-	daemon   Daemon
-	remap    WordRemap
-	sinks    trace.Tee // observers of the full DRAM-access stream
-	clockNs  uint64
-	nextTick uint64
-	opStart  uint64
-	opLat    *stats.Reservoir
-	costs    tiermem.CostModel
-	// latHit flattens the per-access hit-level switch: indexed by
-	// cache.HitL1..HitLLC (HitMemory takes the DRAM path instead).
-	latHit [4]uint64
+	cfg Config // retained (with defaults applied) so checkpoints can rebuild the machine
+	gen workload.Generator
 	// batch is the reusable access buffer the batched loop pulls the
 	// generator stream into (also the transpose scratch of the
 	// functional kernel's columnar refill).
@@ -136,7 +126,6 @@ type Runner struct {
 	nextCtx uint64
 
 	metrics        *obs.Registry
-	obsTickKernel  *obs.Histogram
 	obsKernelNs    *obs.Gauge
 	obsResidentDDR *obs.Gauge
 	// sample.* metrics are registered only for sampled runners, so
@@ -148,9 +137,7 @@ type Runner struct {
 	obsSampleSkipped    *obs.Counter
 	obsSampleCIHalf     *obs.Gauge
 
-	accesses   uint64
-	dramReads  [2]uint64
-	dramWrites [2]uint64
+	accesses uint64
 }
 
 // NewScaledCache returns a hierarchy config scaled for the MB-range
@@ -250,26 +237,24 @@ func NewRunner(cfg Config) (*Runner, error) {
 	// Set after the zero-value check above, or a caller passing only a
 	// registry would dodge the scaled-cache default.
 	cacheCfg.Metrics = cfg.Metrics.Scope("cache")
+	hier := cache.NewHierarchy(cacheCfg)
 	r := &Runner{
-		Sys:     sys,
-		Ctrl:    ctrl,
-		Cache:   cache.NewHierarchy(cacheCfg),
+		machine: newMachine(sys, ctrl, cfg.Costs),
+		core: core{
+			cache: hier,
+			base:  base.Addr(),
+			opLat: stats.NewReservoir(1<<15, 17),
+		},
+		Cache:   hier,
 		gen:     cfg.Workload,
-		base:    base,
-		opLat:   stats.NewReservoir(1<<15, 17),
-		costs:   cfg.Costs,
 		ctxNs:   cfg.CtxSwitchPeriodNs,
 		nextCtx: cfg.CtxSwitchPeriodNs,
 	}
 	r.metrics = cfg.Metrics
-	policyScope := cfg.Metrics.Scope("policy")
-	r.obsTickKernel = policyScope.Histogram("tick_kernel_ns", tickKernelBounds)
+	r.obsTickKernel = cfg.Metrics.Scope("policy").Histogram("tick_kernel_ns", tickKernelBounds)
 	memScope := cfg.Metrics.Scope("mem")
 	r.obsKernelNs = memScope.Gauge("kernel_ns")
 	r.obsResidentDDR = memScope.Gauge("resident_ddr_pages")
-	r.latHit[cache.HitL1] = cfg.Costs.L1HitNs
-	r.latHit[cache.HitL2] = cfg.Costs.L2HitNs
-	r.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
 	r.sampled = cfg.Sampling.Enabled()
 	if r.sampled {
 		sampleScope := cfg.Metrics.Scope("sample")
@@ -281,16 +266,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.cfg = cfg
 	return r, nil
-}
-
-// dramReadLatency returns the read latency for a DRAM access at the node.
-//
-//m5:hotpath
-func (r *Runner) dramReadLatency(node tiermem.NodeID) uint64 {
-	if node == tiermem.NodeCXL {
-		return r.costs.CXLReadNs
-	}
-	return r.costs.DDRReadNs
 }
 
 // scaledTLBEntries keeps TLB coverage proportional to the paper's
@@ -308,7 +283,7 @@ func scaledTLBEntries(footPages uint64) int {
 }
 
 // Base returns the first VPN of the workload arena.
-func (r *Runner) Base() tiermem.VPN { return r.base }
+func (r *Runner) Base() tiermem.VPN { return r.base.Page() }
 
 // SetDaemon installs the migration daemon (nil = no page migration).
 func (r *Runner) SetDaemon(d Daemon) {
@@ -362,86 +337,35 @@ func (r *Runner) StepBatch(max int) int {
 	return n
 }
 
-// runBatch is the batched hot loop. Loop-invariant state (sink presence,
-// remapper, daemon, context-switch period, arena base) is hoisted into
-// locals; the hit-level switch is a table lookup; and one trace.Access
-// scratch value feeds both the CXL snoop path and the miss-sink fan-out.
+// runBatch is the exact hot loop: each access translates, runs the shared
+// service step at weight 1 with the clock advancing, closes its op, fires
+// the context-switch flush and daemon tick due, and stalls the core for
+// the kernel time it triggered.
 //
 //m5:hotpath
 func (r *Runner) runBatch(accs []workload.Access) {
-	var (
-		base     = r.base.Addr()
-		hasSinks = len(r.sinks) > 0
-		remap    = r.remap
-		daemon   = r.daemon
-		ctxOn    = r.ctxNs > 0
-		scratch  trace.Access
-		tr       tiermem.TranslateResult
-	)
 	for i := range accs {
 		a := &accs[i]
 		r.accesses++
 		kernelBefore := r.Sys.KernelNs()
-		va := base + tiermem.VirtAddr(a.Offset)
-		r.Sys.TranslateInto(0, va, a.Write, &tr)
-		r.clockNs += tr.ExtraNs
-
-		res := r.Cache.Access(tr.Phys, a.Write)
-		if res.Level != cache.HitMemory {
-			r.clockNs += r.latHit[res.Level]
-		} else {
-			node := r.Sys.NodeOfAddr(tr.Phys)
-			if remap != nil {
-				served, extra := remap.Serve(tr.Phys.Word(), node)
-				r.clockNs += extra
-				node = served
-			}
-			r.Sys.Node(node).CountRead() //m5:unitcredit exact engine: one access, weight 1
-			r.dramReads[node]++
-			r.clockNs += r.dramReadLatency(node)
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-				if hasSinks {
-					r.sinks.Observe(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-			}
-		}
-		for _, wb := range res.Writeback {
-			node := r.Sys.CountDRAMAccess(wb, true)
-			r.dramWrites[node]++
-			r.clockNs += r.costs.DRAMWriteNs
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: r.clockNs, Addr: wb, Write: true}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-				if hasSinks {
-					r.sinks.Observe(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-			}
-		}
-
+		r.service(&r.core, r.translate(&r.core, a.Offset, a.Write).Phys, a.Write, 1, false)
 		if a.OpEnd {
-			r.opLat.Add(float64(r.clockNs - r.opStart))
-			r.opStart = r.clockNs
+			r.endOp()
 		}
-
-		if ctxOn && r.clockNs >= r.nextCtx {
-			r.Sys.TLB(0).Flush()
-			r.nextCtx = r.clockNs + r.ctxNs
-		}
-
-		if daemon != nil && r.clockNs >= r.nextTick {
-			tickKernelBefore := r.Sys.KernelNs()
-			daemon.Tick(r.clockNs)
-			r.nextTick = r.clockNs + daemon.PeriodNs()
-			r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
-		}
-
+		r.ctxSwitch()
+		r.tick(r.clockNs)
 		r.clockNs += r.Sys.KernelNs() - kernelBefore
+	}
+}
+
+// ctxSwitch flushes the TLB once the core clock reaches the next context
+// switch (timer tick) and schedules the one after.
+//
+//m5:hotpath
+func (r *Runner) ctxSwitch() {
+	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
+		r.Sys.TLB(0).Flush()
+		r.nextCtx = r.clockNs + r.ctxNs
 	}
 }
 

@@ -202,6 +202,31 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestHugePageM5Deterministic pins huge-page promotion order: the M5
+// promoter must promote 2MB units in a fixed order, because the order
+// decides which pages MGLRU demotes once DDR fills. Ranging over a map
+// here once made repeated runs of the same seed disagree.
+func TestHugePageM5Deterministic(t *testing.T) {
+	run := func() Result {
+		r := newRunner(t, "redis", Config{
+			HugePages: true,
+			HPT:       &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64},
+		})
+		r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly, HugeDenseMin: 2}))
+		r.Run(100_000)
+		return r.Run(500_000)
+	}
+	first := run()
+	if first.Promotions == 0 || first.Demotions == 0 {
+		t.Fatalf("run promoted %d and demoted %d pages; the test needs both", first.Promotions, first.Demotions)
+	}
+	for i := 1; i < 5; i++ {
+		if got := run(); got.ElapsedNs != first.ElapsedNs {
+			t.Fatalf("run %d: ElapsedNs %d, run 0: %d", i, got.ElapsedNs, first.ElapsedNs)
+		}
+	}
+}
+
 func TestScaledCacheClamps(t *testing.T) {
 	small := NewScaledCache(1 << 12)
 	if small.LLCWayBytes*small.LLCWays < 64<<10 {

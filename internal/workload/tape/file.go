@@ -73,7 +73,10 @@ func (t *Tape) WriteTo(w io.Writer) (int64, error) {
 // ReadTape deserializes a tape written by WriteTo. The returned tape is
 // standalone (no pool, no byte budget); a cursor running past the
 // recorded length continues on a live generator rebuilt from the stored
-// catalog identity, so replays are not truncated to the recording.
+// catalog identity, so replays are not truncated to the recording. Every
+// block is checked to decode in bounds (checkBlock), so a tape whose
+// checksum is valid but whose blocks are malformed fails here instead of
+// panicking in a cursor.
 func ReadTape(r io.Reader) (*Tape, error) {
 	hr := &hashReader{br: bufio.NewReader(r), h: crc32.NewIEEE()}
 
@@ -121,7 +124,8 @@ func ReadTape(r io.Reader) (*Tape, error) {
 	t.wlName = string(wlName)
 	t.footprint = footprint
 	var sum uint64
-	blocks := make([]*block, 0, nblocks)
+	// The header is untrusted: cap the preallocation, not the count.
+	blocks := make([]*block, 0, min(nblocks, 1024))
 	for bi := uint64(0); bi < nblocks; bi++ {
 		n, err := binary.ReadUvarint(hr)
 		if err != nil || n == 0 || n > blockLen {
@@ -151,6 +155,9 @@ func ReadTape(r io.Reader) (*Tape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tape: block %d op boundaries: %w", bi, err)
 		}
+		if err := checkBlock(int(n), offs, opEnds); err != nil {
+			return nil, fmt.Errorf("tape: block %d: %w", bi, err)
+		}
 		blocks = append(blocks, &block{n: int(n), start: start, offs: offs, writes: writes, opEnds: opEnds})
 		sum += n
 	}
@@ -167,6 +174,41 @@ func ReadTape(r io.Reader) (*Tape, error) {
 	}
 	t.committed.Store(&snapshot{blocks: blocks, total: total})
 	return t, nil
+}
+
+// checkBlock verifies that a block of n accesses decodes in bounds: offs
+// is exactly n-1 offset-delta varints and nothing more, and every op
+// boundary lies inside the block, strictly after the previous one.
+func checkBlock(n int, offs, opEnds []byte) error {
+	for k := 0; k < n-1; k++ {
+		_, m := binary.Uvarint(offs)
+		if m <= 0 {
+			return fmt.Errorf("offsets hold %d of %d deltas", k, n-1)
+		}
+		offs = offs[m:]
+	}
+	if len(offs) > 0 {
+		return fmt.Errorf("%d bytes after the last offset delta", len(offs))
+	}
+	prev := -1
+	for len(opEnds) > 0 {
+		gap, m := binary.Uvarint(opEnds)
+		if m <= 0 || gap >= uint64(n) {
+			return fmt.Errorf("op boundary after access %d out of range", prev)
+		}
+		opEnds = opEnds[m:]
+		// The first value is an index, each later one the gap from the
+		// boundary before.
+		next := int(gap)
+		if prev >= 0 {
+			next += prev
+		}
+		if next <= prev || next >= n {
+			return fmt.Errorf("op boundary %d after %d outside the block", next, prev)
+		}
+		prev = next
+	}
+	return nil
 }
 
 // hashReader hashes exactly the bytes handed to the caller (unlike a
